@@ -101,15 +101,16 @@ type (
 	// GraphValue is an edge: one node's output, another's dependency.
 	GraphValue = graph.Value
 	// GraphExecutor runs graphs with dataflow scheduling (and, in
-	// Pipelined mode or with Streams set, stream-aware scheduling over
-	// per-GPU compute/comm queues).
+	// Pipelined, Wavefront and Auto modes or with Streams set,
+	// stream-aware scheduling over per-GPU compute/comm queues).
 	GraphExecutor = graph.Executor
 	// GraphReport is a per-node timing/traffic execution report, with
 	// per-stream occupancy in stream-aware runs.
 	GraphReport = graph.Report
 	// StreamReport is one GPU's stream-occupancy line of a GraphReport.
 	StreamReport = graph.StreamReport
-	// ExecMode selects eager, compiled, or pipelined execution.
+	// ExecMode selects the execution mode: Eager, Compiled, Pipelined,
+	// Wavefront, or Auto.
 	ExecMode = graph.Mode
 	// CompileOptions tunes the fusion pass.
 	CompileOptions = graph.CompileOptions
@@ -193,8 +194,8 @@ const (
 	RangeTables = core.RangeTables
 )
 
-// DefaultChunks is the pipeline depth Pipelined mode uses when the
-// executor's Chunks field is zero.
+// DefaultChunks is the chunk depth Pipelined and Wavefront modes use
+// when the executor's Chunks field is zero.
 const DefaultChunks = graph.DefaultChunks
 
 // Fusion patterns (see Compile and CompileOptions.Disable).

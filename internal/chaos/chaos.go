@@ -13,6 +13,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -203,7 +204,7 @@ func parseFault(spec string) (Fault, error) {
 			f.Latency = true
 		case strings.HasPrefix(opt, "x"):
 			v, err := strconv.ParseFloat(opt[1:], 64)
-			if err != nil || v <= 1 {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 1 {
 				return Fault{}, fmt.Errorf("chaos: fault %q: bad factor %q (want x<float> > 1)", spec, opt)
 			}
 			if f.Kind == DropRank {

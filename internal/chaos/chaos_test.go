@@ -55,6 +55,8 @@ func TestParseRejects(t *testing.T) {
 		{"slowlink@x", "bad target"},
 		{"slowlink@0,x1", "bad factor"},   // factor must exceed 1
 		{"slowlink@0,x0.5", "bad factor"}, // speedups are not faults
+		{"slowlink@0,xNaN", "bad factor"},
+		{"straggler@1,x+Inf", "bad factor"},
 		{"droprank@0,x4", "no factor"},
 		{"droprank@0,for=1ms", "no window"},
 		{"straggler@0,latency", "only applies to slowlink"},

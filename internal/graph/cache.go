@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"fusedcc/internal/core"
 )
 
 // PassCache shares rewrite-pass analysis plans across executors and
@@ -25,19 +23,15 @@ import (
 // same key at worst analyze the same graph twice and keep the first
 // published plan.
 type PassCache struct {
-	mu         sync.Mutex
-	selects    map[string]*selectPlan
-	partitions map[string]*partitionPlan
-	hits       int64
-	misses     int64
+	mu     sync.Mutex
+	plans  map[string]*plan // keyed by policy key and fingerprint
+	hits   int64
+	misses int64
 }
 
 // NewPassCache returns an empty cache.
 func NewPassCache() *PassCache {
-	return &PassCache{
-		selects:    map[string]*selectPlan{},
-		partitions: map[string]*partitionPlan{},
-	}
+	return &PassCache{plans: map[string]*plan{}}
 }
 
 // Stats reports the cumulative hit and miss counts.
@@ -47,14 +41,14 @@ func (c *PassCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// selectPlanFor returns the cached select plan of g's fingerprint
-// under the given load, analyzing g on a miss. The load joins the key:
-// the same graph priced under different contention can legitimately
-// choose different forms, so plans never alias across load contexts.
-func (c *PassCache) selectPlanFor(g *Graph, load LoadContext) *selectPlan {
-	key := "select|" + load.key() + "|" + fingerprint(g)
+// planFor returns the cached plan of g's fingerprint under pol,
+// analyzing g on a miss. The policy joins the key: the same graph
+// priced under different contention can legitimately choose different
+// forms, so plans never alias across policies.
+func (c *PassCache) planFor(g *Graph, pol policy) *plan {
+	key := pol.key() + "|" + fingerprint(g)
 	c.mu.Lock()
-	if p, ok := c.selects[key]; ok {
+	if p, ok := c.plans[key]; ok {
 		c.hits++
 		c.mu.Unlock()
 		return p
@@ -63,35 +57,12 @@ func (c *PassCache) selectPlanFor(g *Graph, load LoadContext) *selectPlan {
 	c.mu.Unlock()
 	// Analyze outside the lock: pricing is the expensive part, and a
 	// concurrent worker on the same key computes an identical plan.
-	p := selectAnalyze(g, load)
+	p := analyze(g, pol)
 	c.mu.Lock()
-	if prev, ok := c.selects[key]; ok {
+	if prev, ok := c.plans[key]; ok {
 		p = prev
 	} else {
-		c.selects[key] = p
-	}
-	c.mu.Unlock()
-	return p
-}
-
-// partitionPlanFor returns the cached partition plan of g's fingerprint
-// at the requested depth, analyzing g on a miss.
-func (c *PassCache) partitionPlanFor(g *Graph, chunks int, wavefront bool) *partitionPlan {
-	key := fmt.Sprintf("partition|k=%d|wf=%t|%s", chunks, wavefront, fingerprint(g))
-	c.mu.Lock()
-	if p, ok := c.partitions[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return p
-	}
-	c.misses++
-	c.mu.Unlock()
-	p := partitionAnalyze(g, chunks)
-	c.mu.Lock()
-	if prev, ok := c.partitions[key]; ok {
-		p = prev
-	} else {
-		c.partitions[key] = p
+		c.plans[key] = p
 	}
 	c.mu.Unlock()
 	return p
@@ -138,14 +109,15 @@ func fingerprint(g *Graph) string {
 // (no pass prices them, and plans replay against each graph's own ops).
 func describeOp(b *strings.Builder, op Op) {
 	switch o := op.(type) {
-	case *allReduceOp, *embAllToAllOp, *gemmAllToAllOp:
-		describePair(b, pairOf(op))
+	case *pairOp:
+		if o.kind == KindCollective {
+			describePair(b, o.pr)
+		}
 	case *rowsOp:
 		fmt.Fprintf(b, " rows{kind:%d units:%d", o.spec.Kind, o.spec.Units)
 		if o.spec.Estimate != nil {
 			samplePoints(b, o.spec.Units, func(c, k int) {
-				lo, hi := core.ChunkSpan(c, k, o.spec.Units)
-				fmt.Fprintf(b, " %d/%d:%d", c, k, o.spec.Estimate(lo, hi))
+				fmt.Fprintf(b, " %d/%d:%d", c, k, o.EstimateComputeChunk(c, k))
 			})
 		}
 		b.WriteByte('}')
@@ -158,21 +130,13 @@ func describeOp(b *strings.Builder, op Op) {
 
 // describePair samples a pair operator's cost surface and chunk-range
 // metadata.
-func describePair(b *strings.Builder, pair any) {
-	est, ok := pair.(pairEstimator)
-	if !ok {
-		b.WriteString(" pair{unpriced}")
-		return
-	}
-	fmt.Fprintf(b, " pair{max:%d sat:%d fused:%d",
-		est.MaxChunks(), est.SaturationChunks(), est.EstimateFused())
-	if r, ok := pair.(core.ChunkRanger); ok {
-		in, inOK := r.ChunkIn(0, 2)
-		fmt.Fprintf(b, " out:%+v in:%+v/%t", r.ChunkOut(0, 1), in, inOK)
-	}
-	samplePoints(b, est.MaxChunks(), func(c, k int) {
+func describePair(b *strings.Builder, pr *pair) {
+	in, inOK := pr.ChunkIn(0, 2)
+	fmt.Fprintf(b, " pair{max:%d sat:%d fused:%d out:%+v in:%+v/%t",
+		pr.MaxChunks(), pr.SaturationChunks(), pr.EstimateFused(), pr.ChunkOut(0, 1), in, inOK)
+	samplePoints(b, pr.MaxChunks(), func(c, k int) {
 		fmt.Fprintf(b, " %d/%d:%d,%d", c, k,
-			est.EstimateComputeChunk(c, k), est.EstimateCollectiveChunk(c, k))
+			pr.EstimateComputeChunk(c, k), pr.EstimateCollectiveChunk(c, k))
 	})
 	b.WriteByte('}')
 }

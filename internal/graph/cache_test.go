@@ -149,3 +149,58 @@ func TestPassCacheConcurrent(t *testing.T) {
 		t.Errorf("stats = %d hits, %d misses; want %d hits, 1 miss", hits, misses, workers)
 	}
 }
+
+// TestExecutorMemoAcrossModes pins the executor's single lowering memo:
+// once every mode has run on a graph, alternating modes again never
+// re-plans (no PassCache traffic) and returns the same pass reports,
+// and changing Load touches only Auto's entry.
+func TestExecutorMemoAcrossModes(t *testing.T) {
+	pl, g := cacheTestGraph(t)
+	x := Executor{Chunks: 2, Cache: NewPassCache()}
+	modes := []Mode{Compiled, Pipelined, Wavefront, Auto}
+	run := func() []*Report {
+		var reps []*Report
+		drive(pl, func(p *sim.Proc) {
+			for _, m := range modes {
+				if m == Compiled {
+					// Non-Auto forms must not key on Load.
+					x.Load = LoadContext{QueueDepth: 3}
+				}
+				if m == Auto {
+					x.Load = LoadContext{}
+				}
+				reps = append(reps, x.Execute(p, g, m))
+			}
+		})
+		return reps
+	}
+	first := run()
+	h0, m0 := x.Cache.Stats()
+	if h0 != 0 || m0 != 3 {
+		t.Fatalf("first round stats = %d hits, %d misses; want 0 hits, 3 misses", h0, m0)
+	}
+	second := run()
+	if h, m := x.Cache.Stats(); h != h0 || m != m0 {
+		t.Errorf("second round re-planned: stats %d hits, %d misses, want %d, %d", h, m, h0, m0)
+	}
+	for i, m := range modes {
+		a, b := first[i], second[i]
+		if a.Compile != b.Compile || a.Partition != b.Partition || a.Select != b.Select {
+			t.Errorf("%v: second round returned different pass reports", m)
+		}
+		if len(a.Nodes) != len(b.Nodes) {
+			t.Fatalf("%v: %d nodes, then %d", m, len(a.Nodes), len(b.Nodes))
+		}
+		for j := range a.Nodes {
+			if a.Nodes[j].Name != b.Nodes[j].Name || a.Nodes[j].Op != b.Nodes[j].Op {
+				t.Errorf("%v: node %d is %s/%s, then %s/%s", m, j, a.Nodes[j].Name, a.Nodes[j].Op, b.Nodes[j].Name, b.Nodes[j].Op)
+			}
+		}
+	}
+	// A Load change does re-plan Auto.
+	x.Load = LoadContext{QueueDepth: 3}
+	drive(pl, func(p *sim.Proc) { x.Execute(p, g, Auto) })
+	if _, m := x.Cache.Stats(); m != m0+1 {
+		t.Errorf("Auto under a new load: %d misses, want %d", m, m0+1)
+	}
+}

@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"strings"
-
-	"fusedcc/internal/core"
 )
 
 // Pattern identifies one fusion rewrite the compiler knows.
@@ -93,153 +91,20 @@ func (r *CompileReport) String() string {
 	return b.String()
 }
 
-// Compile runs the fusion pass: it returns a new graph in which every
-// adjacent compute→collective pair matching an enabled pattern is
-// replaced by the corresponding fused computation-collective node, and
-// every eager gradient exchange by its fused counterpart. Unmatched
-// nodes are copied unchanged and still run as eager baselines. The
-// input graph is not modified; both graphs share the same backing
-// operators (and therefore buffers), so eager and compiled runs of the
-// same model are directly comparable.
+// Compile runs the fusion lowering (the Compiled policy): it returns a
+// new graph in which every adjacent compute→collective pair matching an
+// enabled pattern is replaced by the corresponding fused
+// computation-collective node, and every eager gradient exchange by its
+// fused counterpart. Unmatched nodes are copied unchanged and still run
+// as eager baselines. The input graph is not modified; both graphs
+// share the same backing operators (and therefore buffers), so eager
+// and compiled runs of the same model are directly comparable.
 //
 // A pair fuses only when the collective directly consumes the compute
 // node's value, both are bound to the same backing operator, and the
 // compute node has no other consumer (fusing it would hide the staged
 // intermediate another node reads).
 func Compile(g *Graph, opt CompileOptions) (*Graph, *CompileReport) {
-	rep := &CompileReport{}
-	if lowered(g) {
-		rep.Lowered = true
-		return g, rep
-	}
-	em := newEmitter(g)
-
-	// match maps a fusable collective node to its producing compute
-	// node; the emitter tracks original→substitute mappings during the
-	// copy.
-	match := pairMatches(g, opt.enabled)
-	computeMatched := map[*Node]bool{}
-	for _, producer := range match {
-		computeMatched[producer] = true
-	}
-
-	for _, n := range g.nodes {
-		if computeMatched[n] {
-			continue // compute half: emitted at its collective's position
-		}
-		if producer, matched := match[n]; matched {
-			fn, pt := em.fusePair(producer, n)
-			rep.Rewrites = append(rep.Rewrites, Rewrite{Pattern: pt, Compute: producer.name, Collective: n.name, Fused: fn.name})
-			continue
-		}
-		if gx, ok := n.op.(*gradExchangeOp); ok && !gx.fused && opt.enabled(PatternGradExchange) {
-			fn := &Node{name: n.name, op: &gradExchangeOp{op: gx.op, fused: true}}
-			fn.in = mapInputs(n.in, em.replaced)
-			em.emit(fn)
-			em.replaced[n] = fn
-			rep.Rewrites = append(rep.Rewrites, Rewrite{Pattern: PatternGradExchange, Collective: n.name, Fused: fn.name})
-			continue
-		}
-		em.copyNode(n)
-		if n.op.Kind() == KindCollective {
-			rep.Unfused++
-		}
-	}
-	return em.out, rep
-}
-
-// pairMatches returns, for every fusable collective node whose pattern
-// passes the filter, its producing compute node. A pair matches only
-// when the collective directly consumes the compute node's value, both
-// are bound to the same backing operator, and the compute node has no
-// other consumer (rewriting it would hide the staged intermediate
-// another node reads). Shared by the fusion and partition passes, so
-// "what fuses" and "what pipelines" cannot drift apart.
-func pairMatches(g *Graph, enabled func(Pattern) bool) map[*Node]*Node {
-	match := map[*Node]*Node{}
-	for _, c := range g.nodes {
-		if c.op.Kind() != KindCollective {
-			continue
-		}
-		pair := pairOf(c.op)
-		if pair == nil {
-			continue
-		}
-		pt, ok := patternFor(c.op)
-		if !ok || !enabled(pt) {
-			continue
-		}
-		// The producing compute node: the input bound to the same pair.
-		var producer *Node
-		for _, in := range c.in {
-			if in.op.Kind() == KindCompute && pairOf(in.op) == pair {
-				producer = in
-				break
-			}
-		}
-		if producer == nil || g.consumers(producer) != 1 {
-			continue
-		}
-		match[c] = producer
-	}
-	return match
-}
-
-// patternFor classifies a fusable collective op.
-func patternFor(op Op) (Pattern, bool) {
-	switch op.(type) {
-	case *allReduceOp:
-		return PatternGEMVAllReduce, true
-	case *embAllToAllOp:
-		return PatternEmbeddingAllToAll, true
-	case *gemmAllToAllOp:
-		return PatternGEMMAllToAll, true
-	}
-	return 0, false
-}
-
-// fuseNodes builds the fused node replacing compute node n and
-// collective node c.
-func fuseNodes(n, c *Node) (*Node, Pattern) {
-	name := n.name + "+" + c.name
-	switch pair := pairOf(c.op).(type) {
-	case *core.GEMVAllReduce:
-		return &Node{name: name, op: &fusedGEMVAllReduceOp{op: pair}}, PatternGEMVAllReduce
-	case *core.EmbeddingAllToAll:
-		return &Node{name: name, op: &fusedEmbeddingAllToAllOp{op: pair}}, PatternEmbeddingAllToAll
-	case *core.GEMMAllToAll:
-		return &Node{name: name, op: &fusedGEMMAllToAllOp{op: pair}}, PatternGEMMAllToAll
-	}
-	panic("graph: fuseNodes on non-fusable pair") // unreachable: patternFor gated
-}
-
-// exclude returns ins without node x.
-func exclude(ins []*Node, x *Node) []*Node {
-	var out []*Node
-	for _, in := range ins {
-		if in != x {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
-// mapInputs rewrites dependency pointers into the new graph, dropping
-// duplicates introduced by pair merging.
-func mapInputs(ins []*Node, replaced map[*Node]*Node) []*Node {
-	var out []*Node
-	seen := map[*Node]bool{}
-	for _, in := range ins {
-		m, ok := replaced[in]
-		if !ok {
-			// Input precedes this node in topological order, so it has
-			// been emitted already; missing means a foreign node.
-			panic(fmt.Sprintf("graph: input %q not part of the compiled graph", in.name))
-		}
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out
+	lg, rep := lower(g, policy{mode: Compiled, opts: opt})
+	return lg, rep.Compile
 }

@@ -96,7 +96,8 @@ type Report struct {
 	Nodes []NodeReport
 	// Compile is the fusion-pass report (nil unless Compiled mode).
 	Compile *CompileReport
-	// Partition is the chunking-pass report (nil unless Pipelined mode).
+	// Partition is the chunking-pass report (nil unless Pipelined or
+	// Wavefront mode).
 	Partition *PartitionReport
 	// Select is the cost-model decision report (nil unless Auto mode).
 	Select *SelectReport
@@ -214,27 +215,28 @@ func (r *Report) String() string {
 	return s
 }
 
-// DefaultChunks is the pipeline depth Pipelined mode uses when the
-// executor's Chunks field is zero.
+// DefaultChunks is the chunk depth Pipelined and Wavefront modes use
+// when the executor's Chunks field is zero.
 const DefaultChunks = 4
 
 // Executor runs graphs with dataflow scheduling: every node starts the
 // moment all its dependencies have finished. In stream-aware runs
-// (Pipelined mode, or any mode with Streams set) each ready node must
-// additionally acquire its stream — compute/fused nodes the compute
-// stream, collective nodes the comm stream, on every participating GPU
-// — so concurrent nodes serialize realistically on-device instead of
-// enjoying infinite parallelism, and the report gains per-stream
-// occupancy statistics.
+// (Pipelined, Wavefront and Auto modes, or any mode with Streams set)
+// each ready node must additionally acquire its stream — compute/fused
+// nodes the compute stream, collective nodes the comm stream, on every
+// participating GPU — so concurrent nodes serialize realistically
+// on-device instead of enjoying infinite parallelism, and the report
+// gains per-stream occupancy statistics.
 type Executor struct {
-	// Options tunes the fusion pass used in Compiled mode.
+	// Options tunes the fusion lowering used in Compiled mode.
 	Options CompileOptions
-	// Chunks is the pipeline depth of Pipelined mode (0 = DefaultChunks).
+	// Chunks is the chunk depth of Pipelined and Wavefront modes (0 =
+	// DefaultChunks).
 	Chunks int
-	// Streams forces stream-aware scheduling in every mode. Pipelined
-	// runs are always stream-aware.
+	// Streams forces stream-aware scheduling in every mode. Pipelined,
+	// Wavefront and Auto runs are always stream-aware.
 	Streams bool
-	// Cache, when non-nil, shares select and partition analysis plans
+	// Cache, when non-nil, shares Pipelined, Wavefront and Auto plans
 	// across executors (and engines) keyed by graph fingerprint — the
 	// cross-point artifact cache parallel sweep workers hand to every
 	// runner so identical (stack, shape) pairs are priced once per
@@ -246,52 +248,26 @@ type Executor struct {
 	// under load.
 	Load LoadContext
 
-	// compiled, partitioned, and selected cache the rewrite-pass outputs
-	// per source graph so repeated executions (decode loops, training
-	// iterations) do not re-run the pass on a static graph. Entries key
-	// on the graph's mutation generation, so any edit — adding nodes or
-	// dependency edges, even without changing the node count —
-	// invalidates them.
-	compiled    map[*Graph]compiledEntry
-	partitioned map[*Graph]partitionedEntry
-	wavefronted map[*Graph]partitionedEntry
-	selected    map[*Graph]selectedEntry
+	// memo caches the lowered form of each (source graph, mode) so
+	// repeated executions (decode loops, training iterations) never
+	// re-plan a static graph, and alternating modes never evict each
+	// other. An entry is reused while the graph's mutation generation —
+	// bumped by any edit, even one that keeps the node count — and the
+	// mode's policy key are unchanged; the key holds only what that mode
+	// reads, so changing Load never invalidates a Compiled form.
+	memo map[memoKey]memoEntry
 }
 
-type compiledEntry struct {
+type memoKey struct {
 	g    *Graph
-	rep  *CompileReport
-	gen  int    // source graph generation at compile time
-	opts string // fingerprint of the options used
+	mode Mode
 }
 
-type partitionedEntry struct {
+type memoEntry struct {
+	gen    int    // source graph generation at planning time
+	policy string // policy key at planning time
 	g      *Graph
-	rep    *PartitionReport
-	gen    int // source graph generation at partition time
-	chunks int
-}
-
-type selectedEntry struct {
-	g    *Graph
-	rep  *SelectReport
-	gen  int    // source graph generation at selection time
-	load string // load-context key at selection time
-}
-
-// compile returns the cached fused form of g, compiling on first use
-// (or after g was mutated, or after Options changed).
-func (x *Executor) compile(g *Graph) (*Graph, *CompileReport) {
-	opts := fmt.Sprint(x.Options.Disable)
-	if ent, ok := x.compiled[g]; ok && ent.gen == g.gen && ent.opts == opts {
-		return ent.g, ent.rep
-	}
-	cg, crep := Compile(g, x.Options)
-	if x.compiled == nil {
-		x.compiled = map[*Graph]compiledEntry{}
-	}
-	x.compiled[g] = compiledEntry{g: cg, rep: crep, gen: g.gen, opts: opts}
-	return cg, crep
+	rep    *Report // carries the mode's pass report
 }
 
 // chunks resolves the pipeline depth.
@@ -302,69 +278,41 @@ func (x *Executor) chunks() int {
 	return DefaultChunks
 }
 
-// partition returns the cached chunked form of g, partitioning on first
-// use (or after g was mutated, or after Chunks changed).
-func (x *Executor) partition(g *Graph) (*Graph, *PartitionReport) {
-	k := x.chunks()
-	if ent, ok := x.partitioned[g]; ok && ent.gen == g.gen && ent.chunks == k {
-		return ent.g, ent.rep
+// policy returns the executor's lowering policy for mode, holding only
+// the settings that mode reads.
+func (x *Executor) policy(mode Mode) policy {
+	switch mode {
+	case Compiled:
+		return policy{mode: mode, opts: x.Options}
+	case Pipelined, Wavefront:
+		return policy{mode: mode, chunks: x.chunks()}
 	}
-	var pg *Graph
-	var prep *PartitionReport
-	if x.Cache != nil {
-		pg, prep = partitionApply(g, k, false, x.Cache.partitionPlanFor(g, k, false))
-	} else {
-		pg, prep = Partition(g, k)
-	}
-	if x.partitioned == nil {
-		x.partitioned = map[*Graph]partitionedEntry{}
-	}
-	x.partitioned[g] = partitionedEntry{g: pg, rep: prep, gen: g.gen, chunks: k}
-	return pg, prep
+	return policy{mode: mode, load: x.Load}
 }
 
-// wavefront returns the cached wavefront-partitioned form of g,
-// partitioning on first use (or after g was mutated, or after Chunks
+// lower returns the memoized lowered form of g under mode, planning on
+// first use (or after g was mutated, or after the mode's settings
 // changed).
-func (x *Executor) wavefront(g *Graph) (*Graph, *PartitionReport) {
-	k := x.chunks()
-	if ent, ok := x.wavefronted[g]; ok && ent.gen == g.gen && ent.chunks == k {
+func (x *Executor) lower(g *Graph, mode Mode) (*Graph, *Report) {
+	pol := x.policy(mode)
+	key, mk := pol.key(), memoKey{g: g, mode: mode}
+	if ent, ok := x.memo[mk]; ok && ent.gen == g.gen && ent.policy == key {
 		return ent.g, ent.rep
 	}
-	var pg *Graph
-	var prep *PartitionReport
-	if x.Cache != nil {
-		pg, prep = partitionApply(g, k, true, x.Cache.partitionPlanFor(g, k, true))
+	var pl *plan
+	// A Compiled plan prices nothing: matching pairs costs less than the
+	// fingerprint that would key it, so it bypasses the cache.
+	if x.Cache != nil && mode != Compiled {
+		pl = x.Cache.planFor(g, pol)
 	} else {
-		pg, prep = PartitionWavefront(g, k)
+		pl = analyze(g, pol)
 	}
-	if x.wavefronted == nil {
-		x.wavefronted = map[*Graph]partitionedEntry{}
+	lg, rep := pl.emit(g)
+	if x.memo == nil {
+		x.memo = map[memoKey]memoEntry{}
 	}
-	x.wavefronted[g] = partitionedEntry{g: pg, rep: prep, gen: g.gen, chunks: k}
-	return pg, prep
-}
-
-// sel returns the cached cost-model-selected form of g, running the
-// select pass on first use (or after g was mutated, or after the
-// executor's load context changed).
-func (x *Executor) sel(g *Graph) (*Graph, *SelectReport) {
-	lk := x.Load.key()
-	if ent, ok := x.selected[g]; ok && ent.gen == g.gen && ent.load == lk {
-		return ent.g, ent.rep
-	}
-	var sg *Graph
-	var srep *SelectReport
-	if x.Cache != nil {
-		sg, srep = selectApply(g, x.Cache.selectPlanFor(g, x.Load))
-	} else {
-		sg, srep = SelectLoaded(g, x.Load)
-	}
-	if x.selected == nil {
-		x.selected = map[*Graph]selectedEntry{}
-	}
-	x.selected[g] = selectedEntry{g: sg, rep: srep, gen: g.gen, load: lk}
-	return sg, srep
+	x.memo[mk] = memoEntry{gen: g.gen, policy: key, g: lg, rep: rep}
+	return lg, rep
 }
 
 // streamKindOf maps a node kind to the device stream it occupies:
@@ -384,27 +332,23 @@ type streamSnapshot struct {
 }
 
 // Execute runs g in the given mode on the coordinating process and
-// blocks until every node has finished. In Compiled mode the graph is
-// first rewritten by Compile, in Pipelined mode by Partition, in
-// Wavefront mode by PartitionWavefront, in Auto mode by the cost-model
-// Select pass (all cached across calls); the input graph is never
-// modified. An empty graph is a valid no-op.
+// blocks until every node has finished. Every mode but Eager first
+// lowers the graph under the mode's policy — the same lowering Compile,
+// Partition, PartitionWavefront or SelectLoaded returns — memoized
+// across calls; the input graph is never modified. An empty graph is a
+// valid no-op.
 func (x *Executor) Execute(p *sim.Proc, g *Graph, mode Mode) *Report {
-	rg := g
-	rep := &Report{Mode: mode}
+	rg, rep := g, &Report{Mode: mode}
+	streamAware := x.Streams
 	switch mode {
-	case Compiled:
-		rg, rep.Compile = x.compile(g)
-	case Pipelined:
-		rg, rep.Partition = x.partition(g)
-	case Wavefront:
-		rg, rep.Partition = x.wavefront(g)
-	case Auto:
-		rg, rep.Select = x.sel(g)
+	case Compiled, Pipelined, Wavefront, Auto:
+		var lrep *Report
+		rg, lrep = x.lower(g, mode)
+		rep.Compile, rep.Partition, rep.Select = lrep.Compile, lrep.Partition, lrep.Select
+		// Chunk chains (mixed with fused and eager nodes under Auto)
+		// need the two-queue device model.
+		streamAware = streamAware || mode != Compiled
 	}
-	// Auto graphs may mix chunk chains with fused and eager nodes; they
-	// need the two-queue device model just like Pipelined ones.
-	streamAware := x.Streams || mode == Pipelined || mode == Wavefront || mode == Auto
 
 	pl := g.world.Platform()
 	e := pl.E

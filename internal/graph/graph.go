@@ -95,7 +95,7 @@ func (n *Node) Inputs() []*Node { return append([]*Node(nil), n.in...) }
 // statically instead of via stringly-typed attribute maps.
 type Value struct {
 	producer *Node
-	payload  any // *core.GEMVAllReduce | *core.EmbeddingAllToAll | *core.GEMMAllToAll | *core.EmbeddingGradExchange | *shmem.Symm | nil
+	payload  any // backing core pair operator | *core.EmbeddingGradExchange | *shmem.Symm | nil
 }
 
 // Producer returns the node that computes this value (nil for the zero
@@ -109,16 +109,13 @@ func (v Value) Producer() *Node { return v.producer }
 // node has run.
 func (v Value) Symm() *shmem.Symm {
 	switch pl := v.payload.(type) {
-	case *core.GEMVAllReduce:
-		return pl.Out
-	case *core.EmbeddingAllToAll:
-		return pl.Out
-	case *core.GEMMAllToAll:
-		return pl.Recv
 	case *core.EmbeddingGradExchange:
 		return pl.GradIn
 	case *shmem.Symm:
 		return pl
+	}
+	if pr := pairOf(v.producer); pr != nil {
+		return pr.out
 	}
 	return nil
 }
@@ -256,8 +253,18 @@ func (g *Graph) consumers(n *Node) int {
 // The returned value is the pooled-per-rank tensor, the input of an
 // AllToAll node.
 func (g *Graph) EmbeddingBag(name string, op *core.EmbeddingAllToAll, deps ...Value) Value {
-	n := g.add(name, &embeddingBagOp{op: op}, deps...)
-	return Value{producer: n, payload: op}
+	return g.addPair(name, op, &pair{
+		pairSurface: op, pattern: PatternEmbeddingAllToAll, out: op.Out,
+		names: [3]string{"embedding_bag", "all_to_all", "fused::embedding_all2all"},
+		run:   [2]func(*sim.Proc, int, int) core.Report{op.RunPoolingChunk, op.RunExchangeChunk},
+	}, deps)
+}
+
+// addPair adds the compute node of a pair; payload is the backing core
+// operator the collective builders check their input against.
+func (g *Graph) addPair(name string, payload any, pr *pair, deps []Value) Value {
+	n := g.add(name, &pairOp{pr: pr, kind: KindCompute}, deps...)
+	return Value{producer: n, payload: payload}
 }
 
 // NewEmbeddingBag materializes an embedding + All-to-All pair operator
@@ -275,8 +282,11 @@ func (g *Graph) NewEmbeddingBag(name string, sets []*kernels.EmbeddingSet, globa
 // kernels, staging each rank's partial output. The returned value is
 // the partial-output tensor, the input of an AllReduce node.
 func (g *Graph) GEMV(name string, op *core.GEMVAllReduce, deps ...Value) Value {
-	n := g.add(name, &gemvOp{op: op}, deps...)
-	return Value{producer: n, payload: op}
+	return g.addPair(name, op, &pair{
+		pairSurface: op, pattern: PatternGEMVAllReduce, out: op.Out,
+		names: [3]string{"gemv", "all_reduce", "fused::gemv_allreduce"},
+		run:   [2]func(*sim.Proc, int, int) core.Report{op.RunComputeChunk, op.RunAllReduceChunk},
+	}, deps)
 }
 
 // NewGEMV materializes a GEMV + AllReduce pair operator from per-rank
@@ -295,8 +305,11 @@ func (g *Graph) NewGEMV(name string, gemvs []*kernels.GEMV, deps ...Value) (Valu
 // per-rank output tensor grouped by destination, the input of an
 // AllToAll node.
 func (g *Graph) MatMul(name string, op *core.GEMMAllToAll, deps ...Value) Value {
-	n := g.add(name, &matmulOp{op: op}, deps...)
-	return Value{producer: n, payload: op}
+	return g.addPair(name, op, &pair{
+		pairSurface: op, pattern: PatternGEMMAllToAll, out: op.Recv,
+		names: [3]string{"matmul", "all_to_all", "fused::gemm_all2all"},
+		run:   [2]func(*sim.Proc, int, int) core.Report{op.RunComputeChunk, op.RunExchangeChunk},
+	}, deps)
 }
 
 // NewMatMul materializes a GEMM + All-to-All pair operator from
@@ -362,12 +375,10 @@ func (g *Graph) PerRankRows(name string, spec RowsSpec, deps ...Value) Value {
 // runs the library AllReduce over the staged partial outputs. The input
 // must be the value of a GEMV node.
 func (g *Graph) AllReduce(name string, in Value, deps ...Value) (Value, error) {
-	op, ok := in.payload.(*core.GEMVAllReduce)
-	if !ok {
+	if _, ok := in.payload.(*core.GEMVAllReduce); !ok {
 		return Value{}, fmt.Errorf("graph: AllReduce %q input is %T, want a GEMV partial output (use AllReduceSymm for generic payloads)", name, in.payload)
 	}
-	n := g.add(name, &allReduceOp{op: op}, append([]Value{in}, deps...)...)
-	return Value{producer: n, payload: op}, nil
+	return g.addCollective(name, in, deps), nil
 }
 
 // AllToAll adds the collective node completing an embedding or matmul
@@ -376,17 +387,18 @@ func (g *Graph) AllReduce(name string, in Value, deps ...Value) (Value, error) {
 // layout). The input must be the value of an EmbeddingBag or MatMul
 // node.
 func (g *Graph) AllToAll(name string, in Value, deps ...Value) (Value, error) {
-	var op Op
-	switch pair := in.payload.(type) {
-	case *core.EmbeddingAllToAll:
-		op = &embAllToAllOp{op: pair}
-	case *core.GEMMAllToAll:
-		op = &gemmAllToAllOp{op: pair}
-	default:
-		return Value{}, fmt.Errorf("graph: AllToAll %q input is %T, want an EmbeddingBag or MatMul output (use AllToAllSymm for generic payloads)", name, in.payload)
+	switch in.payload.(type) {
+	case *core.EmbeddingAllToAll, *core.GEMMAllToAll:
+		return g.addCollective(name, in, deps), nil
 	}
-	n := g.add(name, op, append([]Value{in}, deps...)...)
-	return Value{producer: n, payload: in.payload}, nil
+	return Value{}, fmt.Errorf("graph: AllToAll %q input is %T, want an EmbeddingBag or MatMul output (use AllToAllSymm for generic payloads)", name, in.payload)
+}
+
+// addCollective adds the collective node of the pair whose value in
+// carries.
+func (g *Graph) addCollective(name string, in Value, deps []Value) Value {
+	n := g.add(name, &pairOp{pr: pairOf(in.producer), kind: KindCollective}, append([]Value{in}, deps...)...)
+	return Value{producer: n, payload: in.payload}
 }
 
 // GradExchange adds the embedding-gradient exchange collective: eagerly

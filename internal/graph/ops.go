@@ -9,44 +9,127 @@ import (
 	"fusedcc/internal/sim"
 )
 
-// ---- compute ops ----
+// chunk is the position of a lowered chunk sub-node: chunk c of n.
+// The zero value (n == 0) marks a whole node as built; a lowering pass
+// substitutes chunk sub-nodes, which is how the passes recognize an
+// already-lowered graph and refuse to re-chunk it.
+type chunk struct{ c, n int }
 
-type embeddingBagOp struct{ op *core.EmbeddingAllToAll }
+func (ch chunk) chunkOf() chunk { return ch }
 
-func (o *embeddingBagOp) OpName() string              { return "embedding_bag" }
-func (o *embeddingBagOp) Kind() NodeKind              { return KindCompute }
-func (o *embeddingBagOp) Run(p *sim.Proc) core.Report { return o.op.RunPooling(p) }
-
-type gemvOp struct{ op *core.GEMVAllReduce }
-
-func (o *gemvOp) OpName() string              { return "gemv" }
-func (o *gemvOp) Kind() NodeKind              { return KindCompute }
-func (o *gemvOp) Run(p *sim.Proc) core.Report { return o.op.RunCompute(p) }
-
-type matmulOp struct{ op *core.GEMMAllToAll }
-
-func (o *matmulOp) OpName() string              { return "matmul" }
-func (o *matmulOp) Kind() NodeKind              { return KindCompute }
-func (o *matmulOp) Run(p *sim.Proc) core.Report { return o.op.RunCompute(p) }
-
-type perRankOp struct {
-	g  *Graph
-	fn func(p *sim.Proc, rank, pe int)
+// name renders the op name of the chunk: base for a whole node,
+// "base[c/n]" for a chunk sub-node.
+func (ch chunk) name(base string) string {
+	if ch.n == 0 {
+		return base
+	}
+	return fmt.Sprintf("%s[%d/%d]", base, ch.c, ch.n)
 }
 
-func (o *perRankOp) OpName() string { return "per_rank" }
-func (o *perRankOp) Kind() NodeKind { return KindCompute }
+// cn returns the chunk as (c, n), a whole node being chunk 0 of 1.
+func (ch chunk) cn() (c, n int) { return ch.c, max(ch.n, 1) }
 
-func (o *perRankOp) Run(p *sim.Proc) core.Report {
-	pl := o.g.world.Platform()
-	e := pl.E
-	rep := core.Report{Start: e.Now(), PEEnd: make([]sim.Time, len(o.g.pes))}
+// span returns the chunk's balanced share [lo,hi) of units work items
+// (all of them for a whole node).
+func (ch chunk) span(units int) (lo, hi int) {
+	c, n := ch.cn()
+	return core.ChunkSpan(c, n, units)
+}
+
+// chunkCost prices chunk c of n of a node's work on each device
+// stream.
+type chunkCost interface {
+	EstimateComputeChunk(c, n int) sim.Duration
+	EstimateCollectiveChunk(c, n int) sim.Duration
+}
+
+// pairEstimator is the cost surface of a pair operator the cost model
+// consults. All three core pair operators implement it.
+type pairEstimator interface {
+	chunkCost
+	EstimateFused() sim.Duration
+	MaxChunks() int
+	SaturationChunks() int
+}
+
+// rowwise is a node whose work splits into row bands: a rowwise
+// per-rank node or a row-structured exchange. A wavefront lowering
+// splits it into chunk sub-nodes; the cost model prices its bands when
+// it is priced.
+type rowwise interface {
+	chunkCost
+	rowRange() (kind core.RangeKind, units int)
+	withChunk(ch chunk) Op
+	priced() bool
+}
+
+// pairSurface is everything the planner reads from a pair operator: its
+// cost surface, its chunk-range metadata, and its fused kernel.
+type pairSurface interface {
+	pairEstimator
+	core.ChunkRanger
+	RunFused(p *sim.Proc) core.Report
+}
+
+// pair is the planner's single view of a compute→collective pair
+// operator, built once by the EmbeddingBag, GEMV and MatMul builders:
+// the fusion pattern, the op name of each phase, the chunked phase
+// entry points and the output buffer. A whole phase is chunk 0 of 1 of
+// its chunked entry point.
+type pair struct {
+	pairSurface
+	pattern Pattern
+	// names holds the compute, collective and fused op names, indexed
+	// by NodeKind.
+	names [3]string
+	// run holds the compute and collective chunk entry points, indexed
+	// by NodeKind.
+	run [2]func(p *sim.Proc, c, n int) core.Report
+	out *shmem.Symm
+}
+
+// pairOp runs one phase of a pair: the compute or collective half
+// (whole, or one chunk of it) or, for KindFused, the fused kernel.
+type pairOp struct {
+	pr   *pair
+	kind NodeKind
+	chunk
+}
+
+func (o *pairOp) OpName() string { return o.name(o.pr.names[o.kind]) }
+func (o *pairOp) Kind() NodeKind { return o.kind }
+
+func (o *pairOp) Run(p *sim.Proc) core.Report {
+	if o.kind == KindFused {
+		return o.pr.RunFused(p)
+	}
+	c, n := o.cn()
+	return o.pr.run[o.kind](p, c, n)
+}
+
+// pairOf returns the pair a node runs a phase of, or nil.
+func pairOf(n *Node) *pair {
+	if n == nil {
+		return nil
+	}
+	if o, ok := n.op.(*pairOp); ok {
+		return o.pr
+	}
+	return nil
+}
+
+// ---- per-rank compute ops ----
+
+// runPerRank runs body concurrently on every rank of g.
+func runPerRank(p *sim.Proc, g *Graph, body func(rp *sim.Proc, rank, pe int)) core.Report {
+	e := g.world.Platform().E
+	rep := core.Report{Start: e.Now(), PEEnd: make([]sim.Time, len(g.pes))}
 	wg := sim.NewWaitGroup(e)
-	wg.Add(len(o.g.pes))
-	for rank, pe := range o.g.pes {
+	wg.Add(len(g.pes))
+	for rank, pe := range g.pes {
 		rank, pe := rank, pe
 		e.Go(fmt.Sprintf("graph.rank%d", rank), func(rp *sim.Proc) {
-			o.fn(rp, rank, pe)
+			body(rp, rank, pe)
 			rep.PEEnd[rank] = rp.Now()
 			wg.Done()
 		})
@@ -56,26 +139,134 @@ func (o *perRankOp) Run(p *sim.Proc) core.Report {
 	return rep
 }
 
-// ---- collective ops (eager halves of the pairs) ----
+type perRankOp struct {
+	g  *Graph
+	fn func(p *sim.Proc, rank, pe int)
+}
 
-type allReduceOp struct{ op *core.GEMVAllReduce }
+func (o *perRankOp) OpName() string              { return "per_rank" }
+func (o *perRankOp) Kind() NodeKind              { return KindCompute }
+func (o *perRankOp) Run(p *sim.Proc) core.Report { return runPerRank(p, o.g, o.fn) }
 
-func (o *allReduceOp) OpName() string              { return "all_reduce" }
-func (o *allReduceOp) Kind() NodeKind              { return KindCollective }
-func (o *allReduceOp) Run(p *sim.Proc) core.Report { return o.op.RunAllReduce(p) }
+// rowsOp is a per-rank compute node whose work decomposes row-wise over
+// a declared dimension: the body runs an arbitrary contiguous row range
+// on every rank. Whole, it runs every row in one node; a wavefront
+// lowering splits it into chunk sub-nodes aligned with adjacent chunked
+// pairs, so chunk-granular dependencies flow through it across layer
+// boundaries.
+type rowsOp struct {
+	g    *Graph
+	spec RowsSpec
+	chunk
+}
 
-type embAllToAllOp struct{ op *core.EmbeddingAllToAll }
+func (o *rowsOp) OpName() string { return o.name("per_rank_rows") }
+func (o *rowsOp) Kind() NodeKind { return KindCompute }
 
-func (o *embAllToAllOp) OpName() string              { return "all_to_all" }
-func (o *embAllToAllOp) Kind() NodeKind              { return KindCollective }
-func (o *embAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunExchange(p) }
+func (o *rowsOp) Run(p *sim.Proc) core.Report {
+	lo, hi := o.span(o.spec.Units)
+	return runPerRank(p, o.g, func(rp *sim.Proc, rank, pe int) { o.spec.Run(rp, rank, pe, lo, hi) })
+}
 
-type gemmAllToAllOp struct{ op *core.GEMMAllToAll }
+func (o *rowsOp) rowRange() (core.RangeKind, int) { return o.spec.Kind, o.spec.Units }
+func (o *rowsOp) withChunk(ch chunk) Op           { cp := *o; cp.chunk = ch; return &cp }
+func (o *rowsOp) priced() bool                    { return o.spec.Estimate != nil }
 
-func (o *gemmAllToAllOp) OpName() string              { return "all_to_all" }
-func (o *gemmAllToAllOp) Kind() NodeKind              { return KindCollective }
-func (o *gemmAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunExchange(p) }
+func (o *rowsOp) EstimateComputeChunk(c, n int) sim.Duration {
+	return o.spec.Estimate(core.ChunkSpan(c, n, o.spec.Units))
+}
 
+func (o *rowsOp) EstimateCollectiveChunk(c, n int) sim.Duration { return 0 }
+
+// ---- generic collective ops ----
+
+// collectiveReport closes a collective's report: a collective occupies
+// every rank until it completes.
+func collectiveReport(g *Graph, start sim.Time) core.Report {
+	rep := core.Report{Start: start, End: g.world.Platform().E.Now(), PEEnd: make([]sim.Time, len(g.pes))}
+	for i := range rep.PEEnd {
+		rep.PEEnd[i] = rep.End
+	}
+	return rep
+}
+
+// symmCollectiveOp is a generic library collective over arbitrary
+// symmetric buffers — real communication, but with no producing compute
+// node in the IR to fuse with.
+type symmCollectiveOp struct {
+	g          *Graph
+	name       string // "all_reduce" | "all_to_all"
+	data, recv *shmem.Symm
+	off, elems int
+	algo       collectives.Algo
+}
+
+func (o *symmCollectiveOp) OpName() string { return o.name }
+func (o *symmCollectiveOp) Kind() NodeKind { return KindCollective }
+
+func (o *symmCollectiveOp) Run(p *sim.Proc) core.Report {
+	pl := o.g.world.Platform()
+	start := pl.E.Now()
+	comm := collectives.New(pl, o.g.pes)
+	if o.name == "all_to_all" {
+		comm.AllToAll(p, o.data, o.recv, o.elems, o.algo)
+	} else {
+		comm.AllReduce(p, o.data, o.off, o.elems, o.algo)
+	}
+	return collectiveReport(o.g, start)
+}
+
+// symmA2ARowsOp is a generic library All-to-All whose per-rank-pair
+// block is declared row-structured: rows rows of elemsPerRow elements
+// each. Whole, it moves every block at once; a wavefront lowering
+// splits it into sub-block chunk exchanges (collectives.AllToAllSub)
+// forming a chunk-scheduled chain, so row bands flow through the
+// exchange chunk by chunk.
+type symmA2ARowsOp struct {
+	g          *Graph
+	send, recv *shmem.Symm
+	rows, epr  int // per-block row count, elements per row
+	algo       collectives.Algo
+	chunk
+}
+
+func (o *symmA2ARowsOp) OpName() string { return o.name("all_to_all") }
+func (o *symmA2ARowsOp) Kind() NodeKind { return KindCollective }
+
+// comm returns the communicator of chunk c: chunks after the first ride
+// the chunk-scheduled chain (flag-poll dispatch instead of a fresh
+// launch and rendezvous, mirroring core's chunked collective chains).
+func (o *symmA2ARowsOp) comm(c int) *collectives.Comm {
+	comm := collectives.New(o.g.world.Platform(), o.g.pes)
+	if c > 0 {
+		comm.SetProtocolOverhead(0)
+		comm.SetLaunchOverhead(core.ChunkDispatchOverhead)
+	}
+	return comm
+}
+
+func (o *symmA2ARowsOp) Run(p *sim.Proc) core.Report {
+	start := o.g.world.Platform().E.Now()
+	lo, hi := o.span(o.rows)
+	o.comm(o.c).AllToAllSub(p, o.send, o.recv, o.rows*o.epr, lo*o.epr, (hi-lo)*o.epr, o.algo)
+	return collectiveReport(o.g, start)
+}
+
+func (o *symmA2ARowsOp) rowRange() (core.RangeKind, int)            { return core.RangeRows, o.rows }
+func (o *symmA2ARowsOp) withChunk(ch chunk) Op                      { cp := *o; cp.chunk = ch; return &cp }
+func (o *symmA2ARowsOp) priced() bool                               { return true }
+func (o *symmA2ARowsOp) EstimateComputeChunk(c, n int) sim.Duration { return 0 }
+
+func (o *symmA2ARowsOp) EstimateCollectiveChunk(c, n int) sim.Duration {
+	lo, hi := core.ChunkSpan(c, n, o.rows)
+	if hi <= lo {
+		return 0
+	}
+	return o.comm(c).EstimateAllToAll((hi-lo)*o.epr, o.algo)
+}
+
+// gradExchangeOp is the embedding-gradient exchange: bulk-synchronous,
+// or the fused overlapped exchange the Compiled lowering substitutes.
 type gradExchangeOp struct {
 	op    *core.EmbeddingGradExchange
 	fused bool
@@ -100,251 +291,4 @@ func (o *gradExchangeOp) Run(p *sim.Proc) core.Report {
 		return o.op.RunFused(p)
 	}
 	return o.op.RunBaseline(p)
-}
-
-// symmCollectiveOp is a generic library collective over arbitrary
-// symmetric buffers — real communication, but with no producing compute
-// node in the IR to fuse with.
-type symmCollectiveOp struct {
-	g          *Graph
-	name       string // "all_reduce" | "all_to_all"
-	data, recv *shmem.Symm
-	off, elems int
-	algo       collectives.Algo
-}
-
-func (o *symmCollectiveOp) OpName() string { return o.name }
-func (o *symmCollectiveOp) Kind() NodeKind { return KindCollective }
-
-func (o *symmCollectiveOp) Run(p *sim.Proc) core.Report {
-	pl := o.g.world.Platform()
-	rep := core.Report{Start: pl.E.Now()}
-	comm := collectives.New(pl, o.g.pes)
-	if o.name == "all_to_all" {
-		comm.AllToAll(p, o.data, o.recv, o.elems, o.algo)
-	} else {
-		comm.AllReduce(p, o.data, o.off, o.elems, o.algo)
-	}
-	rep.End = pl.E.Now()
-	// A collective occupies every rank until it completes.
-	rep.PEEnd = make([]sim.Time, len(o.g.pes))
-	for i := range rep.PEEnd {
-		rep.PEEnd[i] = rep.End
-	}
-	return rep
-}
-
-// ---- rowwise ops (wavefront-capable per-rank nodes and exchanges) ----
-
-// rowsOp is a per-rank compute node whose work decomposes row-wise over
-// a declared dimension: the body runs an arbitrary contiguous row range
-// on every rank. Eagerly it runs the whole range in one node; a
-// wavefront partition splits it into chunk sub-nodes aligned with
-// adjacent chunked pairs, so chunk-granular dependencies flow through
-// it across layer boundaries.
-type rowsOp struct {
-	g    *Graph
-	spec RowsSpec
-}
-
-func (o *rowsOp) OpName() string              { return "per_rank_rows" }
-func (o *rowsOp) Kind() NodeKind              { return KindCompute }
-func (o *rowsOp) Run(p *sim.Proc) core.Report { return o.runRows(p, 0, o.spec.Units) }
-
-// runRows runs rows [lo,hi) concurrently on every rank.
-func (o *rowsOp) runRows(p *sim.Proc, lo, hi int) core.Report {
-	pl := o.g.world.Platform()
-	e := pl.E
-	rep := core.Report{Start: e.Now(), PEEnd: make([]sim.Time, len(o.g.pes))}
-	wg := sim.NewWaitGroup(e)
-	wg.Add(len(o.g.pes))
-	for rank, pe := range o.g.pes {
-		rank, pe := rank, pe
-		e.Go(fmt.Sprintf("graph.rank%d", rank), func(rp *sim.Proc) {
-			o.spec.Run(rp, rank, pe, lo, hi)
-			rep.PEEnd[rank] = rp.Now()
-			wg.Done()
-		})
-	}
-	wg.Wait(p)
-	rep.End = e.Now()
-	return rep
-}
-
-type rowsChunkOp struct {
-	op   *rowsOp
-	c, n int
-}
-
-func (o *rowsChunkOp) OpName() string      { return fmt.Sprintf("per_rank_rows[%d/%d]", o.c, o.n) }
-func (o *rowsChunkOp) Kind() NodeKind      { return KindCompute }
-func (o *rowsChunkOp) chunkOf() (int, int) { return o.c, o.n }
-func (o *rowsChunkOp) Run(p *sim.Proc) core.Report {
-	lo, hi := core.ChunkSpan(o.c, o.n, o.op.spec.Units)
-	return o.op.runRows(p, lo, hi)
-}
-
-// symmA2ARowsOp is a generic library All-to-All whose per-rank-pair
-// block is declared row-structured: rows rows of elemsPerRow elements
-// each. Eagerly it moves every block whole; a wavefront partition
-// splits it into sub-block chunk exchanges (collectives.AllToAllSub)
-// forming a chunk-scheduled chain, so row bands flow through the
-// exchange chunk by chunk.
-type symmA2ARowsOp struct {
-	g          *Graph
-	send, recv *shmem.Symm
-	rows, epr  int // per-block row count, elements per row
-	algo       collectives.Algo
-}
-
-func (o *symmA2ARowsOp) OpName() string              { return "all_to_all" }
-func (o *symmA2ARowsOp) Kind() NodeKind              { return KindCollective }
-func (o *symmA2ARowsOp) Run(p *sim.Proc) core.Report { return o.runRows(p, 0, 0, o.rows) }
-
-// runRows exchanges the per-block row band [lo,hi); chunk > 0 rides the
-// chunk-scheduled chain (flag-poll dispatch instead of a fresh launch
-// and rendezvous, mirroring core's chunked collective chains).
-func (o *symmA2ARowsOp) runRows(p *sim.Proc, chunk, lo, hi int) core.Report {
-	pl := o.g.world.Platform()
-	rep := core.Report{Start: pl.E.Now()}
-	comm := collectives.New(pl, o.g.pes)
-	if chunk > 0 {
-		comm.SetProtocolOverhead(0)
-		comm.SetLaunchOverhead(core.ChunkDispatchOverhead)
-	}
-	comm.AllToAllSub(p, o.send, o.recv, o.rows*o.epr, lo*o.epr, (hi-lo)*o.epr, o.algo)
-	rep.End = pl.E.Now()
-	rep.PEEnd = make([]sim.Time, len(o.g.pes))
-	for i := range rep.PEEnd {
-		rep.PEEnd[i] = rep.End
-	}
-	return rep
-}
-
-type symmA2ARowsChunkOp struct {
-	op   *symmA2ARowsOp
-	c, n int
-}
-
-func (o *symmA2ARowsChunkOp) OpName() string      { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
-func (o *symmA2ARowsChunkOp) Kind() NodeKind      { return KindCollective }
-func (o *symmA2ARowsChunkOp) chunkOf() (int, int) { return o.c, o.n }
-func (o *symmA2ARowsChunkOp) Run(p *sim.Proc) core.Report {
-	lo, hi := core.ChunkSpan(o.c, o.n, o.op.rows)
-	return o.op.runRows(p, o.c, lo, hi)
-}
-
-// ---- chunked ops (substituted by the partition pass) ----
-//
-// A chunk op runs chunk c of n of one phase of a pair operator through
-// the operator's chunked phase entry points, so a partitioned graph
-// performs exactly the eager graph's work — split into K pieces whose
-// collectives overlap later pieces' compute on the device streams.
-//
-// Every chunk op implements loweredOp, so the lowering passes can
-// detect an already-lowered graph and refuse to re-chunk chunk nodes.
-
-// loweredOp marks chunk sub-nodes produced by a lowering pass
-// (Partition, PartitionWavefront, or Select's pipelined/wavefront
-// rewrites).
-type loweredOp interface{ chunkOf() (c, n int) }
-
-type gemvChunkOp struct {
-	op   *core.GEMVAllReduce
-	c, n int
-}
-
-func (o *gemvChunkOp) OpName() string              { return fmt.Sprintf("gemv[%d/%d]", o.c, o.n) }
-func (o *gemvChunkOp) Kind() NodeKind              { return KindCompute }
-func (o *gemvChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *gemvChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunComputeChunk(p, o.c, o.n) }
-
-type allReduceChunkOp struct {
-	op   *core.GEMVAllReduce
-	c, n int
-}
-
-func (o *allReduceChunkOp) OpName() string              { return fmt.Sprintf("all_reduce[%d/%d]", o.c, o.n) }
-func (o *allReduceChunkOp) Kind() NodeKind              { return KindCollective }
-func (o *allReduceChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *allReduceChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunAllReduceChunk(p, o.c, o.n) }
-
-type embBagChunkOp struct {
-	op   *core.EmbeddingAllToAll
-	c, n int
-}
-
-func (o *embBagChunkOp) OpName() string              { return fmt.Sprintf("embedding_bag[%d/%d]", o.c, o.n) }
-func (o *embBagChunkOp) Kind() NodeKind              { return KindCompute }
-func (o *embBagChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *embBagChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunPoolingChunk(p, o.c, o.n) }
-
-type embAllToAllChunkOp struct {
-	op   *core.EmbeddingAllToAll
-	c, n int
-}
-
-func (o *embAllToAllChunkOp) OpName() string              { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
-func (o *embAllToAllChunkOp) Kind() NodeKind              { return KindCollective }
-func (o *embAllToAllChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *embAllToAllChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunExchangeChunk(p, o.c, o.n) }
-
-type matmulChunkOp struct {
-	op   *core.GEMMAllToAll
-	c, n int
-}
-
-func (o *matmulChunkOp) OpName() string              { return fmt.Sprintf("matmul[%d/%d]", o.c, o.n) }
-func (o *matmulChunkOp) Kind() NodeKind              { return KindCompute }
-func (o *matmulChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *matmulChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunComputeChunk(p, o.c, o.n) }
-
-type gemmAllToAllChunkOp struct {
-	op   *core.GEMMAllToAll
-	c, n int
-}
-
-func (o *gemmAllToAllChunkOp) OpName() string              { return fmt.Sprintf("all_to_all[%d/%d]", o.c, o.n) }
-func (o *gemmAllToAllChunkOp) Kind() NodeKind              { return KindCollective }
-func (o *gemmAllToAllChunkOp) chunkOf() (int, int)         { return o.c, o.n }
-func (o *gemmAllToAllChunkOp) Run(p *sim.Proc) core.Report { return o.op.RunExchangeChunk(p, o.c, o.n) }
-
-// ---- fused ops (substituted by the compiler) ----
-
-type fusedGEMVAllReduceOp struct{ op *core.GEMVAllReduce }
-
-func (o *fusedGEMVAllReduceOp) OpName() string              { return "fused::gemv_allreduce" }
-func (o *fusedGEMVAllReduceOp) Kind() NodeKind              { return KindFused }
-func (o *fusedGEMVAllReduceOp) Run(p *sim.Proc) core.Report { return o.op.RunFused(p) }
-
-type fusedEmbeddingAllToAllOp struct{ op *core.EmbeddingAllToAll }
-
-func (o *fusedEmbeddingAllToAllOp) OpName() string              { return "fused::embedding_all2all" }
-func (o *fusedEmbeddingAllToAllOp) Kind() NodeKind              { return KindFused }
-func (o *fusedEmbeddingAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunFused(p) }
-
-type fusedGEMMAllToAllOp struct{ op *core.GEMMAllToAll }
-
-func (o *fusedGEMMAllToAllOp) OpName() string              { return "fused::gemm_all2all" }
-func (o *fusedGEMMAllToAllOp) Kind() NodeKind              { return KindFused }
-func (o *fusedGEMMAllToAllOp) Run(p *sim.Proc) core.Report { return o.op.RunFused(p) }
-
-// pairOf returns the backing pair operator of a compute or collective
-// op that participates in fusion, or nil.
-func pairOf(op Op) any {
-	switch o := op.(type) {
-	case *embeddingBagOp:
-		return o.op
-	case *gemvOp:
-		return o.op
-	case *matmulOp:
-		return o.op
-	case *allReduceOp:
-		return o.op
-	case *embAllToAllOp:
-		return o.op
-	case *gemmAllToAllOp:
-		return o.op
-	}
-	return nil
 }

@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"strings"
-
-	"fusedcc/internal/core"
 )
 
 // The partition pass is the software-pipelining counterpart of the
@@ -91,404 +89,42 @@ func (r *PartitionReport) String() string {
 	return b.String()
 }
 
-// chunkOps builds the chunk-c-of-n compute and collective ops for a
-// pair operator.
-func chunkOps(pair any, c, n int) (compute, collective Op) {
-	switch op := pair.(type) {
-	case *core.GEMVAllReduce:
-		return &gemvChunkOp{op: op, c: c, n: n}, &allReduceChunkOp{op: op, c: c, n: n}
-	case *core.EmbeddingAllToAll:
-		return &embBagChunkOp{op: op, c: c, n: n}, &embAllToAllChunkOp{op: op, c: c, n: n}
-	case *core.GEMMAllToAll:
-		return &matmulChunkOp{op: op, c: c, n: n}, &gemmAllToAllChunkOp{op: op, c: c, n: n}
-	}
-	panic("graph: chunkOps on non-chunkable pair") // unreachable: pairMatches gated
-}
-
-// maxChunksOf returns the pair operator's finest chunk granularity.
-func maxChunksOf(pair any) int {
-	switch op := pair.(type) {
-	case *core.GEMVAllReduce:
-		return op.MaxChunks()
-	case *core.EmbeddingAllToAll:
-		return op.MaxChunks()
-	case *core.GEMMAllToAll:
-		return op.MaxChunks()
-	}
-	return 1
-}
-
-// lowered reports whether g already contains chunk sub-nodes from a
-// lowering pass. Running a lowering pass over such a graph would
-// re-chunk chunk nodes (or chunk half of a mixed-mode graph against
-// the cost model's decisions), so the passes refuse it as a
-// deterministic no-op instead.
-func lowered(g *Graph) bool {
-	for _, n := range g.nodes {
-		if _, ok := n.op.(loweredOp); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// segChain records one emitted chunk chain during a wavefront pass: the
-// per-chunk "ready" nodes downstream chunk edges may attach to, and the
-// output range each chunk finalizes.
-type segChain struct {
-	k int
-	// tails[c] is chunk c's final node (the collective chunk for pairs,
-	// the chunk node itself for rowwise segments).
-	tails []*Node
-	// out returns the output range chunk c finalizes; nil when the
-	// segment has no range metadata (downstream edges stay full-tensor).
-	out func(c int) core.ChunkRange
-}
-
-// chunkFor returns the tail of the minimal chunk whose output prefix
-// covers the consumer range in (chunks are contiguous ascending, so the
-// prefix through chunk c ends at out(c).Hi), or nil when the kinds do
-// not match or no chunk covers it.
-func (s *segChain) chunkFor(in core.ChunkRange) *Node {
-	if s.out == nil || in.Empty() {
-		return nil
-	}
-	for c := 0; c < s.k; c++ {
-		if s.out(c).CoversPrefix(in) {
-			return s.tails[c]
-		}
-	}
-	return nil
-}
-
-// emitter builds a rewrite pass's output graph, tracking the mapping
-// from source nodes to their substitutes so later nodes' dependencies
-// resolve. Shared by the partition and select passes.
-type emitter struct {
-	out      *Graph
-	replaced map[*Node]*Node
-	// segs maps an original segment tail node (a pair's collective, a
-	// rowwise node, a row-structured exchange) to its emitted chunk
-	// chain — the wavefront rewiring state. Nil outside wavefront
-	// passes; a pass registers exactly the segments it priced.
-	segs  map[*Node]*segChain
-	joins []Join
-}
-
-func newEmitter(g *Graph) *emitter {
-	return &emitter{out: New(g.world, g.pes, g.cfg), replaced: map[*Node]*Node{}}
-}
-
-// emit appends a freshly built node to the output graph.
-func (em *emitter) emit(n *Node) *Node {
-	n.id, n.g = len(em.out.nodes), em.out
-	em.out.nodes = append(em.out.nodes, n)
-	em.out.gen++
-	return n
-}
-
-// copyNode copies a source node unchanged (dependencies remapped).
-func (em *emitter) copyNode(n *Node) *Node {
-	cp := &Node{name: n.name, op: n.op}
-	cp.in = mapInputs(n.in, em.replaced)
-	em.emit(cp)
-	em.replaced[n] = cp
-	return cp
-}
-
-// fusePair replaces the (producer, collective) pair with one fused
-// node inheriting both nodes' dependencies — the substitution the
-// fusion pass applies, reusable per pair by the select pass.
-func (em *emitter) fusePair(producer, coll *Node) (*Node, Pattern) {
-	fn, pt := fuseNodes(producer, coll)
-	fn.in = mapInputs(append(append([]*Node{}, producer.in...), exclude(coll.in, producer)...), em.replaced)
-	em.emit(fn)
-	em.replaced[producer] = fn
-	em.replaced[coll] = fn
-	return fn, pt
-}
-
-// headDeps resolves the dependency set of one chunk of a segment head:
-// a dependency on a registered upstream chunk chain becomes
-// chunk-granular when this chunk's input range (in, inOK) is provably
-// covered by an upstream chunk prefix; everything else resolves to the
-// producer's full substitute. joined de-duplicates the join records per
-// (upstream, segment) pair.
-func (em *emitter) headDeps(origs []*Node, in core.ChunkRange, inOK bool, joined map[*Node]bool, consumer string, k int) []*Node {
-	var out []*Node
-	seen := map[*Node]bool{}
-	for _, o := range origs {
-		var dep *Node
-		if inOK && em.segs != nil {
-			if seg := em.segs[o]; seg != nil {
-				if t := seg.chunkFor(in); t != nil {
-					dep = t
-					if !joined[o] {
-						joined[o] = true
-						em.joins = append(em.joins, Join{Producer: o.name, Consumer: consumer, Chunks: k})
-					}
-				}
-			}
-		}
-		if dep == nil {
-			m, ok := em.replaced[o]
-			if !ok {
-				panic(fmt.Sprintf("graph: input %q not part of the compiled graph", o.name))
-			}
-			dep = m
-		}
-		if !seen[dep] {
-			seen[dep] = true
-			out = append(out, dep)
-		}
-	}
-	return out
-}
-
-// chunkChain replaces the (producer, collective) pair with k
-// interleaved chunk chains
-//
-//	compute#0 → collective#0, compute#1 → collective#1, ...
-//
-// with dependency edges compute#c → compute#c+1 and collective#c →
-// collective#c+1 modeling the per-stream program order, so chunk c's
-// collective overlaps chunk c+1's compute. The compute chain inherits
-// the compute node's dependencies — chunk-granularly where a wavefront
-// pass proves alignment with a registered upstream chain, full-tensor
-// otherwise; the collective chain inherits the collective's remaining
-// dependencies plus its own chunk's compute node. Downstream consumers
-// of the pair depend on the final chunks (unless themselves rewired).
-func (em *emitter) chunkChain(producer, coll *Node, k int) *segChain {
-	pair := pairOf(coll.op)
-	ranger, ranged := pair.(core.ChunkRanger)
-	collDeps := mapInputs(exclude(coll.in, producer), em.replaced)
-	seg := &segChain{k: k, tails: make([]*Node, k)}
-	if ranged {
-		seg.out = func(c int) core.ChunkRange { return ranger.ChunkOut(c, k) }
-	}
-	joined := map[*Node]bool{}
-	var prevComp, prevColl *Node
-	for c := 0; c < k; c++ {
-		compOp, collOp := chunkOps(pair, c, k)
-		var in core.ChunkRange
-		inOK := false
-		if ranged {
-			in, inOK = ranger.ChunkIn(c, k)
-		}
-		comp := &Node{name: fmt.Sprintf("%s#%d", producer.name, c), op: compOp}
-		comp.in = em.headDeps(producer.in, in, inOK, joined, producer.name, k)
-		if prevComp != nil {
-			comp.in = append(comp.in, prevComp)
-		}
-		em.emit(comp)
-		cl := &Node{name: fmt.Sprintf("%s#%d", coll.name, c), op: collOp}
-		cl.in = append(cl.in, comp)
-		cl.in = append(cl.in, collDeps...)
-		if prevColl != nil {
-			cl.in = append(cl.in, prevColl)
-		}
-		em.emit(cl)
-		seg.tails[c] = cl
-		prevComp, prevColl = comp, cl
-	}
-	em.replaced[producer] = prevComp
-	em.replaced[coll] = prevColl
-	return seg
-}
-
-// rowChain replaces a single rowwise node (per-rank rows, row-
-// structured exchange) with k chunk sub-nodes chained in program order,
-// each reading — and finalizing — its own row band, with head
-// dependencies resolved chunk-granularly like chunkChain.
-func (em *emitter) rowChain(n *Node, k int, kind core.RangeKind, units int, mk func(c int) Op) *segChain {
-	seg := &segChain{k: k, tails: make([]*Node, k)}
-	seg.out = func(c int) core.ChunkRange {
-		lo, hi := core.ChunkSpan(c, k, units)
-		return core.ChunkRange{Kind: kind, Lo: lo, Hi: hi, Units: units}
-	}
-	joined := map[*Node]bool{}
-	var prev *Node
-	for c := 0; c < k; c++ {
-		lo, hi := core.ChunkSpan(c, k, units)
-		in := core.ChunkRange{Kind: kind, Lo: lo, Hi: hi, Units: units}
-		node := &Node{name: fmt.Sprintf("%s#%d", n.name, c), op: mk(c)}
-		node.in = em.headDeps(n.in, in, true, joined, n.name, k)
-		if prev != nil {
-			node.in = append(node.in, prev)
-		}
-		em.emit(node)
-		seg.tails[c] = node
-		prev = node
-	}
-	em.replaced[n] = prev
-	return seg
-}
-
-// rowSegment chunks a rowwise node (per-rank rows, row-structured
-// exchange) at the requested depth, clamped to its granularity;
-// ok == false when the node is not rowwise or cannot split at least
-// twice. Shared by the wavefront partition and the select pass's
-// wavefront emission, so the two lowerings cannot drift apart.
-func (em *emitter) rowSegment(n *Node, chunks int) (seg *segChain, ok bool) {
-	switch op := n.op.(type) {
-	case *rowsOp:
-		if k := clampChunks(chunks, op.spec.Units); k >= 2 {
-			return em.rowChain(n, k, op.spec.Kind, op.spec.Units, func(c int) Op {
-				return &rowsChunkOp{op: op, c: c, n: k}
-			}), true
-		}
-	case *symmA2ARowsOp:
-		if k := clampChunks(chunks, op.rows); k >= 2 {
-			return em.rowChain(n, k, core.RangeRows, op.rows, func(c int) Op {
-				return &symmA2ARowsChunkOp{op: op, c: c, n: k}
-			}), true
-		}
-	}
-	return nil, false
-}
-
-// Partition runs the chunking pass: every fusible compute→collective
-// pair (the same single-consumer adjacency the fusion pass matches) is
-// replaced by K interleaved chunk chains (see emitter.chunkChain), so
-// chunk c's collective overlaps chunk c+1's compute under both plain
-// dataflow and stream-aware scheduling. Chunk counts clamp to each
-// operator's granularity (tiles, tables, row bands); pairs that cannot
-// split into at least two chunks are copied unchanged. The chunked
-// sub-nodes reuse the operators' phase entry points over disjoint work
-// ranges, so a partitioned run is bit-exact with eager. Unmatched nodes
-// are copied unchanged; downstream consumers of a pair's value depend
-// on the final collective chunk. The input graph is not modified; both
-// graphs share the same backing operators and buffers. An already-
-// lowered input (chunk nodes present) is returned unchanged with
-// Lowered set — the pass never re-chunks chunk nodes.
+// Partition runs the chunking lowering (the Pipelined@K policy): every
+// fusible compute→collective pair (the same single-consumer adjacency
+// the fusion lowering matches) is replaced by K interleaved chunk
+// chains, so chunk c's collective overlaps chunk c+1's compute under
+// both plain dataflow and stream-aware scheduling. Chunk counts clamp
+// to each operator's granularity (tiles, tables, row bands); pairs that
+// cannot split into at least two chunks are copied unchanged. The
+// chunked sub-nodes reuse the operators' phase entry points over
+// disjoint work ranges, so a partitioned run is bit-exact with eager.
+// Unmatched nodes are copied unchanged; downstream consumers of a
+// pair's value depend on the final collective chunk. The input graph is
+// not modified; both graphs share the same backing operators and
+// buffers. An already-lowered input (chunk nodes present) is returned
+// unchanged with Lowered set — the pass never re-chunks chunk nodes.
 func Partition(g *Graph, chunks int) (*Graph, *PartitionReport) {
-	return partition(g, chunks, false)
+	return partition(g, Pipelined, chunks)
 }
 
-// PartitionWavefront runs the chunking pass with cross-pair rewiring:
-// in addition to splitting pairs, it splits rowwise-declared per-rank
-// nodes and row-structured exchanges into chunk chains, and replaces
-// every full-tensor join edge between adjacent chunked chains whose
-// ranges provably align (same range kind, consumer chunk reading only
-// an upstream fraction prefix) with chunk-granular edges. A multi-layer
-// stack whose layer boundaries align then executes as a wavefront —
-// layer l+1's chunk c starts after layer l's chunk c — removing the
-// L−1 pipeline drains per-pair pipelining pays; where no alignment is
-// provable (e.g. a GEMV consumer, which reads its whole input) the pass
-// degenerates to Partition's per-pair schedule. Bit-exact with eager by
-// the same disjoint-range argument, plus the builders' rowwise
-// contracts.
+// PartitionWavefront runs the chunking lowering with cross-pair
+// rewiring (the Wavefront@K policy): in addition to splitting pairs, it
+// splits rowwise-declared per-rank nodes and row-structured exchanges
+// into chunk chains, and replaces every full-tensor join edge between
+// adjacent chunked chains whose ranges provably align (same range kind,
+// consumer chunk reading only an upstream fraction prefix) with
+// chunk-granular edges. A multi-layer stack whose layer boundaries
+// align then executes as a wavefront — layer l+1's chunk c starts after
+// layer l's chunk c — removing the L−1 pipeline drains per-pair
+// pipelining pays; where no alignment is provable (e.g. a GEMV
+// consumer, which reads its whole input) the pass degenerates to
+// Partition's per-pair schedule. Bit-exact with eager by the same
+// disjoint-range argument, plus the builders' rowwise contracts.
 func PartitionWavefront(g *Graph, chunks int) (*Graph, *PartitionReport) {
-	return partition(g, chunks, true)
+	return partition(g, Wavefront, chunks)
 }
 
-// partitionPlan is the analysis half of a partition pass: the
-// effective chunk depth of every splittable pair, keyed by collective
-// node id so a PassCache can replay it on structurally identical graphs
-// from other sweep points. Pairs absent from chunks run whole.
-type partitionPlan struct {
-	lowered bool
-	chunks  map[int]int
-}
-
-// partitionAnalyze resolves which pairs of g can split at least twice
-// at the requested depth and what each pair's granularity-clamped
-// effective depth is.
-func partitionAnalyze(g *Graph, chunks int) *partitionPlan {
-	plan := &partitionPlan{chunks: map[int]int{}}
-	if lowered(g) {
-		plan.lowered = true
-		return plan
-	}
-	for c := range pairMatches(g, func(Pattern) bool { return true }) {
-		if k := effectiveChunks(c, chunks); k >= 2 {
-			plan.chunks[c.id] = k
-		}
-	}
-	return plan
-}
-
-func partition(g *Graph, chunks int, wavefront bool) (*Graph, *PartitionReport) {
-	if chunks < 1 {
-		chunks = 1
-	}
-	return partitionApply(g, chunks, wavefront, partitionAnalyze(g, chunks))
-}
-
-// partitionApply emits the chunked graph a plan prescribes. Like
-// selectApply, the plan may come from a PassCache hit on a structurally
-// identical graph; emission always binds to g's own nodes and backing
-// operators.
-func partitionApply(g *Graph, chunks int, wavefront bool, plan *partitionPlan) (*Graph, *PartitionReport) {
-	if chunks < 1 {
-		chunks = 1
-	}
-	rep := &PartitionReport{Chunks: chunks, Wavefront: wavefront}
-	if plan.lowered {
-		rep.Lowered = true
-		return g, rep
-	}
-	em := newEmitter(g)
-	if wavefront {
-		em.segs = map[*Node]*segChain{}
-	}
-
-	match := pairMatches(g, func(Pattern) bool { return true })
-	computeMatched := map[*Node]bool{}
-	for c, producer := range match {
-		if _, ok := plan.chunks[c.id]; ok {
-			computeMatched[producer] = true
-		} else {
-			delete(match, c) // too small to pipeline: copy the pair whole
-		}
-	}
-
-	for _, n := range g.nodes {
-		if computeMatched[n] {
-			continue // compute half: emitted at its collective's position
-		}
-		if producer, matched := match[n]; matched {
-			k := plan.chunks[n.id]
-			pt, _ := patternFor(n.op)
-			seg := em.chunkChain(producer, n, k)
-			if wavefront {
-				em.segs[n] = seg
-			}
-			rep.Splits = append(rep.Splits, Split{Pattern: pt, Compute: producer.name, Collective: n.name, Chunks: k})
-			continue
-		}
-		if wavefront {
-			if seg, ok := em.rowSegment(n, chunks); ok {
-				em.segs[n] = seg
-				rep.RowSplits++
-				continue
-			}
-		}
-		em.copyNode(n)
-		if n.op.Kind() == KindCollective {
-			rep.Unsplit++
-		}
-	}
-	rep.Joins = em.joins
-	return em.out, rep
-}
-
-// effectiveChunks clamps the requested chunk count to the granularity
-// of the collective node's backing pair operator.
-func effectiveChunks(c *Node, chunks int) int {
-	if max := maxChunksOf(pairOf(c.op)); chunks > max {
-		return max
-	}
-	return chunks
-}
-
-// clampChunks bounds a requested chunk count to a granularity.
-func clampChunks(chunks, max int) int {
-	if chunks > max {
-		return max
-	}
-	if chunks < 1 {
-		return 1
-	}
-	return chunks
+func partition(g *Graph, mode Mode, chunks int) (*Graph, *PartitionReport) {
+	lg, rep := lower(g, policy{mode: mode, chunks: max(chunks, 1)})
+	return lg, rep.Partition
 }

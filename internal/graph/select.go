@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"fusedcc/internal/collectives"
 	"fusedcc/internal/core"
 	"fusedcc/internal/sim"
 )
@@ -28,16 +27,6 @@ import (
 // recurrence. A chain the model predicts faster as a wavefront is
 // rewritten whole: chunk chains with chunk-granular join edges, exactly
 // what PartitionWavefront builds, at the model's chosen K.
-
-// pairEstimator is the per-operator cost surface Select consults. All
-// three core pair operators implement it.
-type pairEstimator interface {
-	EstimateComputeChunk(c, n int) sim.Duration
-	EstimateCollectiveChunk(c, n int) sim.Duration
-	EstimateFused() sim.Duration
-	MaxChunks() int
-	SaturationChunks() int
-}
 
 // LoadContext describes observed serving load, so Select can price
 // execution forms under contention instead of on an idle machine. On an
@@ -374,72 +363,42 @@ func (e *degradedEstimator) EstimateFused() sim.Duration {
 // --- wavefront chain analysis ---
 
 // wfSeg is one chunkable segment of a wavefront chain candidate: a
-// priced pair, a rowwise per-rank node with a cost estimate, or a
+// pair, a rowwise per-rank node with a cost estimate, or a
 // row-structured exchange.
 type wfSeg struct {
 	head, tail *Node
-	// Exactly one of pair/rows/a2a describes the segment.
-	pair   pairEstimator
-	ranger core.ChunkRanger
-	rows   *rowsOp
-	a2a    *symmA2ARowsOp
-	// maxK is the segment's chunk-depth bound (granularity, and
-	// WG-slot saturation for pairs).
+	// cost prices the segment's chunks: the pair operator, or the
+	// rowwise node itself.
+	cost chunkCost
+	pair bool
+	// maxK is the segment's chunk-depth bound (granularity).
 	maxK int
 	// inKind/inOK describe what the segment's head may consume
 	// chunk-granularly; outKind what its chunks finalize.
 	inKind, outKind core.RangeKind
 	inOK            bool
-	// dc re-prices rowwise and exchange segments for a degraded machine
-	// (pair segments carry the scaling inside their wrapped estimator).
+	// dc re-prices the segment for a degraded machine.
 	dc DegradeContext
 }
 
 // compChunk prices the segment's compute work of chunk c of k.
 func (s *wfSeg) compChunk(c, k int) sim.Duration {
-	switch {
-	case s.pair != nil:
-		return s.pair.EstimateComputeChunk(c, k)
-	case s.rows != nil:
-		lo, hi := core.ChunkSpan(c, k, s.rows.spec.Units)
-		return scaleDur(s.rows.spec.Estimate(lo, hi), s.dc.comp())
-	}
-	return 0
+	return scaleDur(s.cost.EstimateComputeChunk(c, k), s.dc.comp())
 }
 
 // collChunk prices the segment's collective work of chunk c of k,
 // discounted to the chunk-chain dispatch cost for non-head chunks.
 func (s *wfSeg) collChunk(c, k int) sim.Duration {
-	switch {
-	case s.pair != nil:
-		return s.pair.EstimateCollectiveChunk(c, k)
-	case s.a2a != nil:
-		lo, hi := core.ChunkSpan(c, k, s.a2a.rows)
-		if hi <= lo {
-			return 0
-		}
-		comm := collectives.New(s.a2a.g.world.Platform(), s.a2a.g.pes)
-		if c > 0 {
-			comm.SetProtocolOverhead(0)
-			comm.SetLaunchOverhead(core.ChunkDispatchOverhead)
-		}
-		return scaleDur(comm.EstimateAllToAll((hi-lo)*s.a2a.epr, s.a2a.algo), s.dc.comm())
-	}
-	return 0
+	return scaleDur(s.cost.EstimateCollectiveChunk(c, k), s.dc.comm())
 }
 
 // standalone prices the segment executed on its own in its best
 // standalone form (the baseline a wavefront must beat).
 func (s *wfSeg) standalone(decisions map[*Node]Decision) sim.Duration {
-	switch {
-	case s.pair != nil:
+	if s.pair {
 		return decisions[s.tail].Predicted()
-	case s.rows != nil:
-		return scaleDur(s.rows.spec.Estimate(0, s.rows.spec.Units), s.dc.comp())
-	case s.a2a != nil:
-		return s.collChunk(0, 1)
 	}
-	return 0
+	return s.compChunk(0, 1) + s.collChunk(0, 1)
 }
 
 // standaloneDemand prices the segment's bottleneck-stream demand in its
@@ -448,7 +407,7 @@ func (s *wfSeg) standalone(decisions map[*Node]Decision) sim.Duration {
 // standalone cost; pairs carry the demand of whichever form decide()
 // chose.
 func (s *wfSeg) standaloneDemand(decisions map[*Node]Decision) sim.Duration {
-	if s.pair != nil {
+	if s.pair {
 		return decisions[s.tail].Demand
 	}
 	return s.standalone(decisions)
@@ -609,59 +568,29 @@ func wavefrontDemand(chain []*wfSeg, k int) sim.Duration {
 	return comp
 }
 
-// wfSegments collects the chunkable segments of g: matched pairs with
-// both a cost surface and chunk-range metadata, rowwise per-rank nodes
-// with cost estimates, and row-structured exchanges. Returned keyed by
-// tail node. dc re-prices every segment for a degraded machine (the
-// zero value is exact nominal pricing).
+// wfSegments collects the chunkable segments of g: matched pairs,
+// rowwise per-rank nodes with cost estimates, and row-structured
+// exchanges. Returned keyed by tail node. dc re-prices every segment
+// for a degraded machine (the zero value is exact nominal pricing).
 func wfSegments(g *Graph, match map[*Node]*Node, dc DegradeContext) map[*Node]*wfSeg {
 	segs := map[*Node]*wfSeg{}
 	for coll, producer := range match {
-		est, ok := pairOf(coll.op).(pairEstimator)
-		if !ok {
-			continue
-		}
-		ranger, ok := pairOf(coll.op).(core.ChunkRanger)
-		if !ok {
-			continue
-		}
-		if dc.Degraded() {
-			est = &degradedEstimator{pairEstimator: est, dc: dc}
-		}
+		pr := pairOf(coll)
 		// Granularity bounds K, but NOT the WG-slot saturation clamp the
 		// standalone decide() applies: an under-filled chunk's extra
 		// device rounds are priced directly by EstimateComputeChunk in
 		// the wavefront recurrence, and in a wavefront the idle slots are
 		// filled by neighboring segments' chunks rather than wasted.
-		maxK := est.MaxChunks()
-		if maxK > maxCandidateChunks {
-			maxK = maxCandidateChunks
-		}
-		s := &wfSeg{head: producer, tail: coll, pair: est, ranger: ranger, maxK: maxK}
-		s.outKind = ranger.ChunkOut(0, 1).Kind
-		in, inOK := ranger.ChunkIn(0, 2)
-		s.inKind, s.inOK = in.Kind, inOK
-		segs[coll] = s
+		in, inOK := pr.ChunkIn(0, 2)
+		segs[coll] = &wfSeg{head: producer, tail: coll, cost: pr, pair: true,
+			maxK:   min(pr.MaxChunks(), maxCandidateChunks),
+			inKind: in.Kind, inOK: inOK, outKind: pr.ChunkOut(0, 1).Kind, dc: dc}
 	}
 	for _, n := range g.nodes {
-		switch op := n.op.(type) {
-		case *rowsOp:
-			if op.spec.Estimate == nil {
-				continue // no cost surface: cannot price a wavefront through it
-			}
-			maxK := op.spec.Units
-			if maxK > maxCandidateChunks {
-				maxK = maxCandidateChunks
-			}
-			segs[n] = &wfSeg{head: n, tail: n, rows: op, maxK: maxK,
-				inKind: op.spec.Kind, outKind: op.spec.Kind, inOK: true, dc: dc}
-		case *symmA2ARowsOp:
-			maxK := op.rows
-			if maxK > maxCandidateChunks {
-				maxK = maxCandidateChunks
-			}
-			segs[n] = &wfSeg{head: n, tail: n, a2a: op, maxK: maxK,
-				inKind: core.RangeRows, outKind: core.RangeRows, inOK: true, dc: dc}
+		if r, ok := n.op.(rowwise); ok && r.priced() {
+			kind, units := r.rowRange()
+			segs[n] = &wfSeg{head: n, tail: n, cost: r, maxK: min(units, maxCandidateChunks),
+				inKind: kind, outKind: kind, inOK: true, dc: dc}
 		}
 	}
 	return segs
@@ -727,53 +656,18 @@ func wfChains(g *Graph, segs map[*Node]*wfSeg) [][]*wfSeg {
 	return chains
 }
 
-// selectPlan is the analysis half of a select pass: every priced
-// decision and scheduled wavefront chain, addressed by node id
-// (insertion order) rather than node pointer, so a PassCache can replay
-// the plan on a structurally identical graph — another sweep point's
-// instance of the same workload — without re-pricing a single form.
-type selectPlan struct {
-	lowered bool
-	// load is the contention context the plan was priced under; replayed
-	// into the report so cached plans stay attributable.
-	load LoadContext
-	// decisions maps collective node ids to their chosen form
-	// (wavefront members carry the post-override Choice).
-	decisions map[int]Decision
-	// wavefronts lists the scheduled chains in discovery order: member
-	// tail node ids in chain order, the chain depth, and the report line.
-	wavefronts []wfPlanRec
-}
-
-// wfPlanRec is one wavefront chain of a selectPlan.
-type wfPlanRec struct {
-	tails []int
-	k     int
-	dec   WavefrontDecision
-}
-
-// selectAnalyze prices every fusible pair and alignable chain of g
-// under the given load — the expensive half of the select pass
-// (estimator sweeps over candidate chunk depths plus the wavefront
-// recurrence per chain) — and returns the resulting plan without
-// touching the graph.
-func selectAnalyze(g *Graph, load LoadContext) *selectPlan {
-	plan := &selectPlan{load: load, decisions: map[int]Decision{}}
-	if lowered(g) {
-		plan.lowered = true
-		return plan
-	}
-	match := pairMatches(g, func(Pattern) bool { return true })
+// selectAnalyze fills pl with Auto's choices: it prices every fusible
+// pair and alignable chain of g under pl's load — the expensive half of
+// lowering (estimator sweeps over candidate chunk depths plus the
+// wavefront recurrence per chain).
+func selectAnalyze(g *Graph, pl *plan) {
+	load := pl.pol.load
+	match := pairMatches(g, allPatterns)
 	decisions := map[*Node]Decision{}
 	for coll, producer := range match {
-		est, ok := pairOf(coll.op).(pairEstimator)
-		if !ok {
-			delete(match, coll) // no cost surface: leave the pair eager
-			continue
-		}
-		d := decide(est, load)
-		d.Pattern, _ = patternFor(coll.op)
-		d.Compute, d.Collective = producer.name, coll.name
+		pr := pairOf(coll)
+		d := decide(pr, load)
+		d.Pattern, d.Compute, d.Collective = pr.pattern, producer.name, coll.name
 		decisions[coll] = d
 	}
 
@@ -808,114 +702,37 @@ func selectAnalyze(g *Graph, load LoadContext) *selectPlan {
 		if bestK == 0 || load.loadedCost(bestCost, bestDemand) >= (1-wavefrontMargin)*load.loadedCost(split, splitDemand) {
 			continue // the chain's segments run better on their own
 		}
-		rec := wfPlanRec{k: bestK}
 		names := make([]string, len(chain))
 		for i, s := range chain {
 			names[i] = s.head.name
-			rec.tails = append(rec.tails, s.tail.id)
-			if s.pair != nil {
+			if s.pair {
 				d := decisions[s.tail]
 				d.Choice, d.Chunks = Wavefront, bestK
 				decisions[s.tail] = d
+			} else {
+				pl.rows[s.tail.id] = bestK
 			}
 		}
-		rec.dec = WavefrontDecision{
+		pl.wavefronts = append(pl.wavefronts, WavefrontDecision{
 			Segments: names, Chunks: bestK, Predicted: bestCost, SplitPredicted: split,
-		}
-		plan.wavefronts = append(plan.wavefronts, rec)
+		})
 	}
 	for n, d := range decisions {
-		plan.decisions[n.id] = d
+		pl.decisions[n.id] = d
 	}
-	return plan
 }
 
-// selectApply emits the mixed-mode graph a plan prescribes. The plan
-// may come from analyzing g itself or from a PassCache hit on a
-// structurally identical graph (same fingerprint, hence same node ids,
-// names, and match set); emission always uses g's own nodes and backing
-// operators, so the output graph is bound to g's world. The report is
-// reconstructed in full — decisions in node order, wavefronts in
-// discovery order — identical to what a fresh analysis would produce.
-func selectApply(g *Graph, plan *selectPlan) (*Graph, *SelectReport) {
-	rep := &SelectReport{Load: plan.load}
-	if plan.lowered {
-		rep.Lowered = true
-		return g, rep
-	}
-	em := newEmitter(g)
-	em.segs = map[*Node]*segChain{}
-
-	match := pairMatches(g, func(Pattern) bool { return true })
-	computeMatched := map[*Node]bool{}
-	for coll, producer := range match {
-		d, priced := plan.decisions[coll.id]
-		if !priced {
-			delete(match, coll) // no cost surface: leave the pair eager
-			continue
-		}
-		if d.Choice != Eager {
-			computeMatched[producer] = true
-		}
-	}
-	wfK := map[int]int{} // member tail node id -> chain depth
-	for _, rec := range plan.wavefronts {
-		rep.Wavefronts = append(rep.Wavefronts, rec.dec)
-		for _, id := range rec.tails {
-			wfK[id] = rec.k
-		}
-	}
-
-	for _, n := range g.nodes {
-		if computeMatched[n] {
-			continue // compute half: emitted at its collective's position
-		}
-		if k, member := wfK[n.id]; member {
-			// Wavefront chain member: chunk at the chain's K and register
-			// the chain so downstream members pick up chunk-granular
-			// join edges. k never exceeds any member's granularity,
-			// so the rowwise clamp inside rowSegment is a no-op here.
-			if seg, ok := em.rowSegment(n, k); ok {
-				em.segs[n] = seg
-			} else { // pair collective
-				producer := match[n]
-				em.segs[n] = em.chunkChain(producer, n, k)
-				rep.Decisions = append(rep.Decisions, plan.decisions[n.id])
-			}
-			continue
-		}
-		if producer, matched := match[n]; matched {
-			d := plan.decisions[n.id]
-			switch d.Choice {
-			case Compiled:
-				em.fusePair(producer, n)
-			case Pipelined:
-				em.chunkChain(producer, n, d.Chunks)
-			default:
-				em.copyNode(n) // producer was copied at its own position
-			}
-			rep.Decisions = append(rep.Decisions, d)
-			continue
-		}
-		em.copyNode(n)
-		if n.op.Kind() == KindCollective {
-			rep.Unmatched++
-		}
-	}
-	return em.out, rep
-}
-
-// Select runs the cost-model-driven rewrite: every fusible
-// compute→collective pair (the same single-consumer adjacency Compile
-// and Partition match) is replaced by its predicted-fastest execution
-// form — fused node, chunk chains at the pair's own K, or the eager
-// pair unchanged — and every alignable segment chain whose wavefront
-// recurrence beats the sum of its segments' standalone bests is
-// rewritten whole as a cross-pair wavefront at the model's K. Unmatched
-// nodes are copied unchanged (gradient exchanges stay eager: the
-// estimator surface covers the three pair operators). The input graph
-// is not modified; both graphs share the same backing operators and
-// buffers, so mixed-mode execution stays bit-exact with eager. An
+// Select runs the cost-model-driven lowering (the Auto policy): every
+// fusible compute→collective pair (the same single-consumer adjacency
+// Compile and Partition match) is replaced by its predicted-fastest
+// execution form — fused node, chunk chains at the pair's own K, or the
+// eager pair unchanged — and every alignable segment chain whose
+// wavefront recurrence beats the sum of its segments' standalone bests
+// is rewritten whole as a cross-pair wavefront at the model's K.
+// Unmatched nodes are copied unchanged (gradient exchanges stay eager:
+// the estimator surface covers the three pair operators). The input
+// graph is not modified; both graphs share the same backing operators
+// and buffers, so mixed-mode execution stays bit-exact with eager. An
 // already-lowered input is returned unchanged with Lowered set.
 func Select(g *Graph) (*Graph, *SelectReport) {
 	return SelectLoaded(g, LoadContext{})
@@ -928,5 +745,6 @@ func Select(g *Graph) (*Graph, *SelectReport) {
 // the queue deepens. SelectLoaded with the zero LoadContext is exactly
 // Select.
 func SelectLoaded(g *Graph, load LoadContext) (*Graph, *SelectReport) {
-	return selectApply(g, selectAnalyze(g, load))
+	lg, rep := lower(g, policy{mode: Auto, load: load})
+	return lg, rep.Select
 }

@@ -170,15 +170,15 @@ func TestPassCacheSelectKeysOnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewPassCache()
-	p1 := c.selectPlanFor(g, LoadContext{})
-	p2 := c.selectPlanFor(g, LoadContext{QueueDepth: 3})
+	p1 := c.planFor(g, policy{mode: Auto, load: LoadContext{}})
+	p2 := c.planFor(g, policy{mode: Auto, load: LoadContext{QueueDepth: 3}})
 	if p1 == p2 {
 		t.Error("plans aliased across load contexts")
 	}
 	if h, m := c.Stats(); h != 0 || m != 2 {
 		t.Errorf("stats = %d hits, %d misses, want 0 hits, 2 misses", h, m)
 	}
-	if p3 := c.selectPlanFor(g, LoadContext{QueueDepth: 3}); p3 != p2 {
+	if p3 := c.planFor(g, policy{mode: Auto, load: LoadContext{QueueDepth: 3}}); p3 != p2 {
 		t.Error("repeat loaded lookup missed the cache")
 	}
 }
