@@ -293,14 +293,14 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "run the design-choice ablations")
 		shape      = flag.String("shape", "", "nodes x GPUs shape (e.g. 4x4): hybrid comparison, or the shape of -mode")
 		pipeline   = flag.Bool("pipeline", false, "run the eager vs pipelined vs fused execution-mode sweep")
-		mode       = flag.String("mode", "", "run one execution-mode configuration: eager, pipelined, fused, auto, wavefront, or serve (auto/wavefront/serve without -shape run their full sweeps)")
+		mode       = flag.String("mode", "", "run one execution-mode configuration: eager, pipelined, fused, auto, wavefront, serve, chaos, or astra (auto/wavefront without -shape, serve without -shape/-qps/-trace, and chaos without -shape/-faults run their full sweeps; astra replays the DLRM torus serially and sharded)")
 		chunks     = flag.Int("chunks", fusedcc.DefaultChunks, "pipeline depth K for -mode pipelined")
-		qps        = flag.Float64("qps", 0, "offered request rate for -mode serve (0 without -trace runs the full serving sweep)")
+		qps        = flag.Float64("qps", 0, "offered request rate for -mode serve and -mode chaos (serve: 0 without -trace runs the full serving sweep; chaos: 0 offers the config's saturation rate)")
 		faults     = flag.String("faults", "", "fault plan for -mode chaos: semicolon-separated \"kind@target[,x<factor>][,latency][,start=<dur>][,for=<dur>]\" with kind slowlink/straggler/droprank and target an id or ? (drawn from -seed); empty runs the full chaos sweep")
 		trace      = flag.String("trace", "", "arrival trace file for -mode serve (one request per line: \"<offset-seconds> [kind]\")")
-		requests   = flag.Int("requests", 64, "request count bound for -mode serve -qps")
+		requests   = flag.Int("requests", 64, "request count bound for -mode serve -qps and -mode chaos")
 		duration   = flag.Float64("duration", 0, "simulated horizon in seconds for -mode serve -qps (0: bound by -requests only)")
-		seed       = flag.Int64("seed", 1, "arrival seed for -mode serve -qps")
+		seed       = flag.Int64("seed", 1, "arrival seed for -mode serve -qps and -mode chaos (chaos also draws ? fault targets from it)")
 		layers     = flag.Int("layers", 2, "stack depth L for -mode (decoder layers / MoE layers / DLRM groups)")
 		jsonPath   = flag.String("json", "", "also write the results as machine-readable JSON (e.g. BENCH_pipeline.json)")
 		compare    = flag.String("compare", "", "compare results against a committed baseline JSON and fail on perf regression")

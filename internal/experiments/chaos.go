@@ -12,9 +12,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"fusedcc/internal/chaos"
 	"fusedcc/internal/graph"
@@ -45,196 +43,14 @@ const (
 	chaosDeadlineFactor = 4 * servingSLOFactor
 )
 
-// chaosArmSpec names one serving policy under fault.
-type chaosArmSpec struct {
-	name   string
-	mode   graph.Mode
-	online bool
-}
-
-func chaosArmSpecs() []chaosArmSpec {
-	return []chaosArmSpec{
+// chaosArmSpecs are the four serving policies every fault point runs.
+func chaosArmSpecs() []armSpec {
+	return []armSpec{
 		{"static-fused", graph.Compiled, false},
 		{"static-eager", graph.Eager, false},
 		{"auto", graph.Auto, false},
 		{"auto+online", graph.Auto, true},
 	}
-}
-
-// depthEWMA smooths observed queue depths from the serving loop's probe
-// hook, quantized to whole requests so steady load prices steadily (and
-// hits the selection cache) instead of re-selecting per wiggle.
-type depthEWMA struct {
-	alpha float64
-	v     float64
-	seen  bool
-}
-
-func (d *depthEWMA) observe(depth int) {
-	if !d.seen {
-		d.v, d.seen = float64(depth), true
-		return
-	}
-	d.v += d.alpha * (float64(depth) - d.v)
-}
-
-func (d *depthEWMA) value() float64 { return math.Round(d.v) }
-
-// chaosBackend adapts a case stack to a fault-aware serving slot: it
-// checks participant liveness around each step, and — on the online
-// arm — closes a sampling window and re-prices the plan from observed
-// degradation before stepping.
-type chaosBackend struct {
-	r      stackRunner
-	x      *graph.Executor
-	mode   graph.Mode
-	pes    []int
-	health *chaos.Health
-	// detect is the timeout a step burns before reporting a dead rank —
-	// the RPC-timeout detection delay.
-	detect sim.Duration
-
-	online  bool
-	sampler *chaos.Sampler
-	depth   *depthEWMA
-	rate    float64
-
-	choices   string
-	reselects int
-}
-
-func (b *chaosBackend) Step(p *sim.Proc, batch []*serve.Request) { _ = b.StepErr(p, batch) }
-
-func (b *chaosBackend) StepErr(p *sim.Proc, batch []*serve.Request) error {
-	if rank, since, dead := b.health.AnyDead(b.pes); dead {
-		// The collective times out against the dead rank: the step burns
-		// the detection delay, then fails without doing work.
-		p.Sleep(b.detect)
-		return &chaos.RankDeadError{Rank: rank, Since: since}
-	}
-	if b.online {
-		b.sampler.Sample()
-		load := graph.LoadContext{
-			QueueDepth:  b.depth.value(),
-			ArrivalRate: b.rate,
-			Degrade:     b.sampler.Degrade(),
-		}
-		if load != b.x.Load {
-			b.x.Load = load
-		}
-	}
-	rep := b.r.StepReport(p, b.mode)
-	if rep.Select != nil {
-		c := summarizeDecisions(rep.Select)
-		if b.choices != "" && c != b.choices {
-			b.reselects++
-		}
-		b.choices = c
-	}
-	if rank, since, dead := b.health.AnyDead(b.pes); dead {
-		// The rank died mid-step: the simulated work completed, but its
-		// results are void — work lost at failure; the batch retries.
-		return &chaos.RankDeadError{Rank: rank, Since: since}
-	}
-	return nil
-}
-
-// chaosRun specifies one serving pass under a fault plan.
-type chaosRun struct {
-	sc                  stackCase
-	nodes, gpus, layers int
-	arm                 chaosArmSpec
-	plan                chaos.Plan
-	rate                float64
-	detect              sim.Duration
-}
-
-// chaosArm is one completed pass: request statistics plus the fault
-// handling and (online) re-selection telemetry.
-type chaosArm struct {
-	name      string
-	stats     *serve.Stats
-	choices   string
-	reselects int
-	degrade   graph.DegradeContext
-	rebuilt   int
-	survivors int
-	monitor   string
-}
-
-func (a chaosArm) p99() sim.Duration { return a.stats.Latency.P99 }
-
-// chaosServe runs one serving pass on a fresh world with the fault plan
-// armed: servingInFlight fault-aware slots share the world, the dropped
-// -rank rebuild hook re-shards onto survivors when the case supports
-// it, and the online arm feeds sampled degradation into selection.
-func chaosServe(cr chaosRun, arrivals serve.Arrivals, cfg serve.Config, opt Options) (chaosArm, error) {
-	pl, w := clusterWorldOpt(cr.nodes, cr.gpus, opt)
-	inj, err := chaos.Arm(pl, cr.plan)
-	if err != nil {
-		return chaosArm{}, err
-	}
-	var sampler *chaos.Sampler
-	var depth *depthEWMA
-	if cr.arm.online {
-		sampler = chaos.NewSampler(pl, chaosAlpha, chaosThreshold)
-		depth = &depthEWMA{alpha: chaosAlpha}
-		cfg.Probe = func(now sim.Time, d int) { depth.observe(d) }
-	}
-	pes := allPEs(pl)
-	newBackend := func(r stackRunner, ranks []int, load graph.LoadContext) *chaosBackend {
-		x := r.Executor()
-		x.Streams = true
-		x.Cache = opt.Cache
-		x.Load = load
-		return &chaosBackend{
-			r: r, x: x, mode: cr.arm.mode, pes: ranks,
-			health: inj.Health, detect: cr.detect,
-			online: cr.arm.online, sampler: sampler, depth: depth, rate: cr.rate,
-		}
-	}
-	slots := make([]serve.Backend, servingInFlight)
-	backends := make([]*chaosBackend, servingInFlight)
-	for i := range slots {
-		r, err := cr.sc.build(w, pes, cr.layers)
-		if err != nil {
-			return chaosArm{}, fmt.Errorf("%s on %dx%d: %w", cr.sc.name, cr.nodes, cr.gpus, err)
-		}
-		backends[i] = newBackend(r, pes, graph.LoadContext{})
-		slots[i] = backends[i]
-	}
-	arm := chaosArm{name: cr.arm.name, survivors: len(pes)}
-	cfg.MaxBatch = servingMaxBatch
-	cfg.Rebuild = func(slot int, err error) serve.Backend {
-		var rde *chaos.RankDeadError
-		if !errors.As(err, &rde) || cr.sc.reshard == nil {
-			return nil
-		}
-		survivors := inj.Health.Survivors(pes)
-		if len(survivors) == 0 || len(survivors) == len(backends[slot].pes) {
-			return nil // nothing new to exclude
-		}
-		r, rerr := cr.sc.reshard(w, survivors, cr.layers, len(pes))
-		if rerr != nil {
-			return nil // cannot re-shard: keep shedding via retries/drops
-		}
-		nb := newBackend(r, survivors, backends[slot].x.Load)
-		nb.choices, nb.reselects = backends[slot].choices, backends[slot].reselects
-		backends[slot] = nb
-		arm.rebuilt++
-		arm.survivors = len(survivors)
-		return nb
-	}
-	arm.stats = serve.Run(pl.E, arrivals, slots, cfg)
-	arm.choices = backends[0].choices
-	for _, b := range backends {
-		arm.reselects += b.reselects
-	}
-	if sampler != nil {
-		arm.degrade = sampler.Degrade()
-		arm.monitor = sampler.Monitor().String()
-	}
-	return arm, nil
 }
 
 // chaosScenario is one named fault plan of the sweep.
@@ -282,6 +98,10 @@ func chaosSweepOutcomes(cases []stackCase, nodes, gpus, layers int, mult float64
 			points = append(points, point{sc, si, chaosSeed + int64(len(points))})
 		}
 	}
+	requests := 48
+	if opt.Quick {
+		requests = 16
+	}
 	return sweep.Map(opt.Parallel, len(points), func(i int) chaosOutcome {
 		pt := points[i]
 		// Rebuild the scenario with this point's own calibration inside
@@ -291,7 +111,9 @@ func chaosSweepOutcomes(cases []stackCase, nodes, gpus, layers int, mult float64
 			return chaosOutcome{err: err}
 		}
 		scen := chaosScenarios(cal.dur)[pt.scen]
-		return chaosPointRun(pt.sc, nodes, gpus, layers, scen.name, scen.plan, mult, pt.seed, opt)
+		label := fmt.Sprintf("%s %dx%d %s", pt.sc.name, nodes, gpus, scen.name)
+		return chaosPointRun(pt.sc, nodes, gpus, layers, label, scen.name, scen.plan, pt.seed,
+			cal.dur, mult*servingMaxBatch/cal.dur.Seconds(), serve.Config{Requests: requests}, opt)
 	})
 }
 
@@ -302,53 +124,39 @@ type chaosOutcome struct {
 	scen  string
 	qps   float64
 	plan  chaos.Plan
-	arms  []chaosArm
+	arms  []armResult
 	err   error
 }
 
 // arm returns the named arm's result.
-func (o chaosOutcome) arm(name string) chaosArm {
+func (o chaosOutcome) arm(name string) armResult {
 	for _, a := range o.arms {
 		if a.name == name {
 			return a
 		}
 	}
-	return chaosArm{}
+	return armResult{}
 }
 
 // chaosPointRun serves one (case, shape, scenario) point once per arm.
-// All arms replay the same seeded arrival stream under the same drawn
-// fault plan, so the comparison isolates the serving policy.
-func chaosPointRun(sc stackCase, nodes, gpus, layers int, scenName string,
-	plan chaos.Plan, mult float64, seed int64, opt Options) chaosOutcome {
-	out := chaosOutcome{
-		label: fmt.Sprintf("%s %dx%d %s", sc.name, nodes, gpus, scenName),
-		scen:  scenName,
-	}
-	cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	out.plan = plan.Draw(seed, nodes, nodes*gpus)
-	out.qps = mult * servingMaxBatch / cal.dur.Seconds()
-	requests := 48
-	if opt.Quick {
-		requests = 16
-	}
-	cfg := serve.Config{
-		Requests:     requests,
-		SLO:          servingSLOFactor * cal.dur,
-		Deadline:     chaosDeadlineFactor * cal.dur,
-		MaxRetries:   chaosMaxRetries,
-		RetryBackoff: cal.dur / 4,
-	}
+// All arms replay the same seeded Poisson stream at rate under the same
+// fault plan, drawn from seed, so the comparison isolates the serving
+// policy. cal is the config's idle Auto makespan, the unit of the SLO,
+// admission deadline, retry backoff and dead-rank detection delay; cfg
+// bounds the run.
+func chaosPointRun(sc stackCase, nodes, gpus, layers int, label, scen string, plan chaos.Plan,
+	seed int64, cal sim.Duration, rate float64, cfg serve.Config, opt Options) chaosOutcome {
+	out := chaosOutcome{label: label, scen: scen, qps: rate, plan: plan.Draw(seed, nodes, nodes*gpus)}
+	cfg.SLO = servingSLOFactor * cal
+	cfg.Deadline = chaosDeadlineFactor * cal
+	cfg.MaxRetries = chaosMaxRetries
+	cfg.RetryBackoff = cal / 4
 	for _, spec := range chaosArmSpecs() {
-		cr := chaosRun{
+		ps := passSpec{
 			sc: sc, nodes: nodes, gpus: gpus, layers: layers,
-			arm: spec, plan: out.plan, rate: out.qps, detect: cal.dur / 4,
+			arm: spec, plan: out.plan, rate: rate, detect: cal / 4,
 		}
-		arm, err := chaosServe(cr, serve.Poisson(out.qps, seed, sc.name), cfg, opt)
+		arm, err := servePass(ps, serve.Poisson(rate, seed, sc.name), cfg, opt)
 		if err != nil {
 			out.err = err
 			return out
@@ -359,7 +167,7 @@ func chaosPointRun(sc stackCase, nodes, gpus, layers int, scenName string,
 }
 
 // chaosArmNote renders one arm's line of a point note.
-func chaosArmNote(a chaosArm) string {
+func chaosArmNote(a armResult) string {
 	s := fmt.Sprintf("%s p99 %v, goodput %.0f/s", a.name, a.p99(), a.stats.Goodput)
 	if a.stats.Drops > 0 || a.stats.Retries > 0 {
 		s += fmt.Sprintf(", %d dropped/%d retries", a.stats.Drops, a.stats.Retries)
@@ -388,7 +196,7 @@ func chaosArmNote(a chaosArm) string {
 // onlineBeat reports whether the online arm out-served static-fused: a
 // lower p99, or completions where the static arm shed its entire stream
 // (whose p99 over zero completions reads 0, not infinity).
-func onlineBeat(sf, ao chaosArm) bool {
+func onlineBeat(sf, ao armResult) bool {
 	if sf.p99() == 0 {
 		return ao.p99() > 0 && sf.stats.Drops > 0
 	}
@@ -515,38 +323,16 @@ func ChaosPoint(nodes, gpus, layers int, spec string, qps float64, requests int,
 	}
 	outs := sweep.Map(opt.Parallel, len(cases), func(i int) chaosOutcome {
 		sc := cases[i]
-		out := chaosOutcome{label: fmt.Sprintf("%s %s", sc.name, label), scen: "cli"}
 		cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
 		if err != nil {
-			out.err = err
-			return out
+			return chaosOutcome{err: err}
 		}
-		out.plan = plan.Draw(seed, nodes, nodes*gpus)
 		rate := qps
 		if rate <= 0 {
 			rate = servingMaxBatch / cal.dur.Seconds()
 		}
-		out.qps = rate
-		cfg := serve.Config{
-			Requests:     requests,
-			SLO:          servingSLOFactor * cal.dur,
-			Deadline:     chaosDeadlineFactor * cal.dur,
-			MaxRetries:   chaosMaxRetries,
-			RetryBackoff: cal.dur / 4,
-		}
-		for _, spec := range chaosArmSpecs() {
-			cr := chaosRun{
-				sc: sc, nodes: nodes, gpus: gpus, layers: layers,
-				arm: spec, plan: out.plan, rate: rate, detect: cal.dur / 4,
-			}
-			arm, aerr := chaosServe(cr, serve.Poisson(rate, seed, sc.name), cfg, opt)
-			if aerr != nil {
-				out.err = aerr
-				return out
-			}
-			out.arms = append(out.arms, arm)
-		}
-		return out
+		return chaosPointRun(sc, nodes, gpus, layers, sc.name+" "+label, "cli", plan, seed,
+			cal.dur, rate, serve.Config{Requests: requests}, opt)
 	})
 	for _, o := range outs {
 		if o.err != nil {

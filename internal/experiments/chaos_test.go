@@ -6,6 +6,7 @@ import (
 
 	"fusedcc/internal/graph"
 	"fusedcc/internal/serve"
+	"fusedcc/internal/sim"
 )
 
 // chaosDlrmOnly is the reduced case set the determinism tests sweep:
@@ -23,7 +24,10 @@ func chaosDlrmOnly(t *testing.T) []stackCase {
 // TestChaosZeroFaultMatchesServing is the no-regression acceptance
 // check: the fault-aware serving path with an empty plan — health
 // checks, deadline config, retry config all armed but never firing —
-// must replay the plain serving engine byte-for-byte.
+// must replay the plain serving engine byte-for-byte. The reference
+// side is built here from plain (non-Fallible) backends stepping the
+// same stack in Auto, so the harness is checked against serve.Run
+// itself rather than against another of its own passes.
 func TestChaosZeroFaultMatchesServing(t *testing.T) {
 	const nodes, gpus, layers = 4, 1, 2
 	const seed = 42
@@ -35,32 +39,49 @@ func TestChaosZeroFaultMatchesServing(t *testing.T) {
 	}
 	qps := 0.7 * servingMaxBatch / cal.dur.Seconds()
 	cfg := serve.Config{Requests: 8, SLO: servingSLOFactor * cal.dur}
-	base, err := servingServe(sc, nodes, gpus, layers,
-		serve.Poisson(qps, seed, sc.name), cfg, graph.LoadContext{}, opt)
-	if err != nil {
-		t.Fatal(err)
+
+	pl, w := clusterWorldOpt(nodes, gpus, opt)
+	var baseChoices string
+	slots := make([]serve.Backend, servingInFlight)
+	for i := range slots {
+		r, err := sc.build(w, allPEs(pl), layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := r.Executor()
+		x.Streams = true
+		x.Cache = opt.Cache
+		first := i == 0
+		slots[i] = serve.BackendFunc(func(p *sim.Proc, _ []*serve.Request) {
+			if rep := r.StepReport(p, graph.Auto); first && baseChoices == "" && rep.Select != nil {
+				baseChoices = summarizeDecisions(rep.Select)
+			}
+		})
 	}
+	baseCfg := cfg
+	baseCfg.MaxBatch = servingMaxBatch
+	base := serve.Run(pl.E, serve.Poisson(qps, seed, sc.name), slots, baseCfg)
 
 	cfg.Deadline = chaosDeadlineFactor * cal.dur
 	cfg.MaxRetries = chaosMaxRetries
 	cfg.RetryBackoff = cal.dur / 4
-	cr := chaosRun{
+	ps := passSpec{
 		sc: sc, nodes: nodes, gpus: gpus, layers: layers,
-		arm: chaosArmSpec{"auto", graph.Auto, false}, rate: qps, detect: cal.dur / 4,
+		arm: armSpec{"auto", graph.Auto, false}, rate: qps, detect: cal.dur / 4,
 	}
-	arm, err := chaosServe(cr, serve.Poisson(qps, seed, sc.name), cfg, opt)
+	arm, err := servePass(ps, serve.Poisson(qps, seed, sc.name), cfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arm.stats.Drops != 0 || arm.stats.Retries != 0 {
 		t.Fatalf("zero-fault run shed work: %d drops, %d retries", arm.stats.Drops, arm.stats.Retries)
 	}
-	if !reflect.DeepEqual(base.stats, arm.stats) {
+	if !reflect.DeepEqual(base, arm.stats) {
 		t.Errorf("zero-fault chaos serving diverged from the plain serving engine:\nserving: %v\nchaos:   %v",
-			base.stats, arm.stats)
+			base, arm.stats)
 	}
-	if arm.choices != base.choices {
-		t.Errorf("plans differ: serving [%s], chaos [%s]", base.choices, arm.choices)
+	if arm.choices != baseChoices {
+		t.Errorf("plans differ: serving [%s], chaos [%s]", baseChoices, arm.choices)
 	}
 }
 
@@ -125,7 +146,8 @@ func TestChaosDropRankReshardsAndDrains(t *testing.T) {
 	if plan.name == "" {
 		t.Fatal("no drop-rank scenario")
 	}
-	out := chaosPointRun(sc, nodes, gpus, layers, plan.name, plan.plan, 0.7, chaosSeed, opt)
+	out := chaosPointRun(sc, nodes, gpus, layers, plan.name, plan.name, plan.plan, chaosSeed,
+		cal.dur, 0.7*servingMaxBatch/cal.dur.Seconds(), serve.Config{Requests: 16}, opt)
 	if out.err != nil {
 		t.Fatal(out.err)
 	}

@@ -6,11 +6,19 @@
 // GC3 perform) and once on the load-aware plan (Select re-priced with
 // the observed queue depth) — and reports where the choices flip and
 // what the flip buys in tail latency.
+//
+// This file also holds the one serving harness both this experiment and
+// the chaos experiment run on: servePass serves a stream on a fresh
+// world with a fault plan armed, and the serving sweep is its
+// empty-plan case.
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
+	"fusedcc/internal/chaos"
 	"fusedcc/internal/gpu"
 	"fusedcc/internal/graph"
 	"fusedcc/internal/serve"
@@ -35,69 +43,191 @@ const (
 	// servingSLOFactor sets the goodput SLO at this multiple of the
 	// config's idle stack makespan.
 	servingSLOFactor = 8
+	// depthSeries names the queue-depth series an online arm smooths.
+	depthSeries = "queue-depth"
 )
 
-// servingBackend adapts a case-study stack to a serving slot: one
-// batched step is one Auto-mode stack execution. The first step's
-// select report is kept — the plan is cached, so every later step
-// reuses it.
-type servingBackend struct {
-	r   stackRunner
-	sel *graph.SelectReport
+// armSpec names one serving policy: the mode every slot steps in, and
+// whether the slots re-select online from observed load and health.
+type armSpec struct {
+	name   string
+	mode   graph.Mode
+	online bool
 }
 
-func (b *servingBackend) Step(p *sim.Proc, batch []*serve.Request) {
-	rep := b.r.StepReport(p, graph.Auto)
-	if b.sel == nil {
-		b.sel = rep.Select
+// stackSlot adapts a case stack to a fault-aware serving slot: it
+// checks participant liveness around each step, and — on an online
+// arm — closes a sampling window and re-prices the plan from observed
+// queue depth and degradation before stepping.
+type stackSlot struct {
+	r      stackRunner
+	x      *graph.Executor
+	mode   graph.Mode
+	pes    []int
+	health *chaos.Health
+	// detect is the timeout a step burns before reporting a dead rank —
+	// the RPC-timeout detection delay.
+	detect sim.Duration
+
+	online  bool
+	sampler *chaos.Sampler
+	depth   *serve.Monitor
+	rate    float64
+
+	choices   string
+	reselects int
+}
+
+func (b *stackSlot) Step(p *sim.Proc, batch []*serve.Request) { _ = b.StepErr(p, batch) }
+
+func (b *stackSlot) StepErr(p *sim.Proc, batch []*serve.Request) error {
+	if rank, since, dead := b.health.AnyDead(b.pes); dead {
+		// The collective times out against the dead rank: the step burns
+		// the detection delay, then fails without doing work.
+		p.Sleep(b.detect)
+		return &chaos.RankDeadError{Rank: rank, Since: since}
 	}
+	if b.online {
+		b.sampler.Sample()
+		// The smoothed depth is quantized to whole requests so steady
+		// load prices steadily (and hits the selection cache) instead of
+		// re-selecting per wiggle.
+		load := graph.LoadContext{
+			QueueDepth:  math.Round(b.depth.Slowdown(depthSeries)),
+			ArrivalRate: b.rate,
+			Degrade:     b.sampler.Degrade(),
+		}
+		if load != b.x.Load {
+			b.x.Load = load
+		}
+	}
+	rep := b.r.StepReport(p, b.mode)
+	if rep.Select != nil {
+		c := summarizeDecisions(rep.Select)
+		if b.choices != "" && c != b.choices {
+			b.reselects++
+		}
+		b.choices = c
+	}
+	if rank, since, dead := b.health.AnyDead(b.pes); dead {
+		// The rank died mid-step: the simulated work completed, but its
+		// results are void — work lost at failure; the batch retries.
+		return &chaos.RankDeadError{Rank: rank, Since: since}
+	}
+	return nil
 }
 
-// servingArm is one serving pass: the request statistics plus the Auto
-// plan it executed under.
-type servingArm struct {
-	stats   *serve.Stats
-	choices string
-	load    graph.LoadContext
+// passSpec specifies one serving pass.
+type passSpec struct {
+	sc                  stackCase
+	nodes, gpus, layers int
+	arm                 armSpec
+	plan                chaos.Plan
+	// load is every slot's initial plan pricing — all a static arm
+	// ever uses.
+	load   graph.LoadContext
+	rate   float64
+	detect sim.Duration
+}
+
+// armResult is one completed serving pass: request statistics, the
+// plan it executed under, and the fault handling and (online)
+// re-selection telemetry.
+type armResult struct {
+	name      string
+	stats     *serve.Stats
+	choices   string
+	load      graph.LoadContext
+	reselects int
+	degrade   graph.DegradeContext
+	rebuilt   int
+	survivors int
+	monitor   string
 	// computeOcc/commOcc are mean per-GPU stream occupancies over the
-	// whole serving run — how loaded each stream class actually was,
-	// summed across in-flight slots.
+	// whole pass — how loaded each stream class actually was, summed
+	// across in-flight slots.
 	computeOcc, commOcc float64
 }
 
-func (a servingArm) p99() sim.Duration { return a.stats.Latency.P99 }
+func (a armResult) p99() sim.Duration { return a.stats.Latency.P99 }
 
-// servingServe runs one serving pass on a fresh world: servingInFlight
-// stack instances as slots, all Auto mode under the given load context,
-// sharing the sweep pass cache.
-func servingServe(sc stackCase, nodes, gpus, layers int, arrivals serve.Arrivals,
-	cfg serve.Config, load graph.LoadContext, opt Options) (servingArm, error) {
-	pl, w := clusterWorldOpt(nodes, gpus, opt)
-	slots := make([]serve.Backend, servingInFlight)
-	backends := make([]*servingBackend, servingInFlight)
-	for i := range slots {
-		r, err := sc.build(w, allPEs(pl), layers)
-		if err != nil {
-			return servingArm{}, fmt.Errorf("%s on %dx%d: %w", sc.name, nodes, gpus, err)
-		}
+// servePass runs one serving pass on a fresh world with the fault plan
+// armed (an empty plan arms nothing): servingInFlight fault-aware slots
+// share the world and the sweep pass cache, the dropped-rank rebuild
+// hook re-shards onto survivors when the case supports it, and an
+// online arm feeds the smoothed queue depth and sampled degradation
+// into selection.
+func servePass(ps passSpec, arrivals serve.Arrivals, cfg serve.Config, opt Options) (armResult, error) {
+	pl, w := clusterWorldOpt(ps.nodes, ps.gpus, opt)
+	inj, err := chaos.Arm(pl, ps.plan)
+	if err != nil {
+		return armResult{}, err
+	}
+	var sampler *chaos.Sampler
+	var depth *serve.Monitor
+	if ps.arm.online {
+		sampler = chaos.NewSampler(pl, chaosAlpha, chaosThreshold)
+		depth = serve.NewMonitor(chaosAlpha)
+		cfg.Probe = func(_ sim.Time, d int) { depth.Observe(depthSeries, float64(d)) }
+	}
+	pes := allPEs(pl)
+	newSlot := func(r stackRunner, ranks []int, load graph.LoadContext) *stackSlot {
 		x := r.Executor()
 		x.Streams = true
 		x.Cache = opt.Cache
 		x.Load = load
-		backends[i] = &servingBackend{r: r}
+		return &stackSlot{
+			r: r, x: x, mode: ps.arm.mode, pes: ranks,
+			health: inj.Health, detect: ps.detect,
+			online: ps.arm.online, sampler: sampler, depth: depth, rate: ps.rate,
+		}
+	}
+	slots := make([]serve.Backend, servingInFlight)
+	backends := make([]*stackSlot, servingInFlight)
+	for i := range slots {
+		r, err := ps.sc.build(w, pes, ps.layers)
+		if err != nil {
+			return armResult{}, fmt.Errorf("%s on %dx%d: %w", ps.sc.name, ps.nodes, ps.gpus, err)
+		}
+		backends[i] = newSlot(r, pes, ps.load)
 		slots[i] = backends[i]
 	}
+	arm := armResult{name: ps.arm.name, load: ps.load, survivors: len(pes)}
 	cfg.MaxBatch = servingMaxBatch
-	st := serve.Run(pl.E, arrivals, slots, cfg)
-	arm := servingArm{stats: st, load: load}
-	if backends[0].sel != nil {
-		arm.choices = summarizeDecisions(backends[0].sel)
+	cfg.Rebuild = func(slot int, err error) serve.Backend {
+		var rde *chaos.RankDeadError
+		if !errors.As(err, &rde) || ps.sc.reshard == nil {
+			return nil
+		}
+		survivors := inj.Health.Survivors(pes)
+		if len(survivors) == 0 || len(survivors) == len(backends[slot].pes) {
+			return nil // nothing new to exclude
+		}
+		r, rerr := ps.sc.reshard(w, survivors, ps.layers, len(pes))
+		if rerr != nil {
+			return nil // cannot re-shard: keep shedding via retries/drops
+		}
+		nb := newSlot(r, survivors, backends[slot].x.Load)
+		nb.choices, nb.reselects = backends[slot].choices, backends[slot].reselects
+		backends[slot] = nb
+		arm.rebuilt++
+		arm.survivors = len(survivors)
+		return nb
+	}
+	arm.stats = serve.Run(pl.E, arrivals, slots, cfg)
+	arm.choices = backends[0].choices
+	for _, b := range backends {
+		arm.reselects += b.reselects
+	}
+	if sampler != nil {
+		arm.degrade = sampler.Degrade()
+		arm.monitor = sampler.Monitor().String()
 	}
 	// Occupancy reads the shared devices' cumulative stream busy time
-	// (the world is fresh, so the counters cover exactly this run) —
+	// (the world is fresh, so the counters cover exactly this pass) —
 	// per-step executor reports can't be summed here, since overlapping
 	// slots share the streams and would double-count each other.
-	if st.Makespan > 0 && len(pl.Devices()) > 0 {
+	if st := arm.stats; st.Makespan > 0 && len(pl.Devices()) > 0 {
 		var comp, comm sim.Duration
 		for _, dev := range pl.Devices() {
 			comp += dev.StreamBusy(gpu.StreamCompute)
@@ -115,48 +245,29 @@ func servingServe(sc stackCase, nodes, gpus, layers int, arrivals serve.Arrivals
 type servingOutcome struct {
 	label        string
 	qps          float64
-	idle, loaded servingArm
+	idle, loaded armResult
 	// flip: the load-aware plan chose differently; win: and its p99 is
 	// strictly lower — the acceptance condition of load-aware selection.
 	flip, win bool
 	err       error
 }
 
-// servingPointRun serves one (case, shape, rate) point twice: first on
-// the idle-machine plan (zero LoadContext — exactly what Select always
-// chose), then on the load-aware plan re-priced with the queue depth
-// the idle pass observed. Both arms replay the same seeded arrival
-// stream, so the comparison isolates the plan.
-func servingPointRun(sc stackCase, nodes, gpus, layers int, mult float64, seed int64, opt Options) servingOutcome {
-	out := servingOutcome{label: fmt.Sprintf("%s %dx%d x%.2f", sc.name, nodes, gpus, mult)}
-	// Calibrate the offered rate to this config's own idle Auto
-	// makespan: mult 1.0 offers servingMaxBatch requests per idle step
-	// time — the saturation knee of a single fully-batched slot.
-	cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
-	if err != nil {
-		out.err = err
-		return out
+// servingPointRun serves one (case, shape, load) point twice with no
+// faults: first on the idle-machine plan (zero LoadContext — exactly
+// what Select always chose), then on the load-aware plan re-priced with
+// the queue depth the idle pass observed. Both arms replay the same
+// arrivals, so the comparison isolates the plan. cal is the config's
+// idle Auto makespan, the unit of the goodput SLO; cfg bounds the run.
+func servingPointRun(sc stackCase, nodes, gpus, layers int, label string, cal sim.Duration,
+	rate float64, arrivals func() serve.Arrivals, cfg serve.Config, opt Options) servingOutcome {
+	out := servingOutcome{label: label, qps: rate}
+	cfg.SLO = servingSLOFactor * cal
+	ps := passSpec{
+		sc: sc, nodes: nodes, gpus: gpus, layers: layers,
+		arm: armSpec{"idle", graph.Auto, false}, rate: rate,
 	}
-	requests := 64
-	if opt.Quick {
-		requests = 48
-	}
-	// Underloaded points drain in near-singleton batches, so each
-	// request is a full stack execution; they only need to show the
-	// queue stays shallow and the plan stays put. Overloaded points keep
-	// the full count — the flip depends on the backlog they build.
-	if mult < 1 {
-		requests /= 3
-		if opt.Quick {
-			requests = 8
-		}
-	}
-	out.qps = mult * servingMaxBatch / cal.dur.Seconds()
-	cfg := serve.Config{Requests: requests, SLO: servingSLOFactor * cal.dur}
-
-	out.idle, err = servingServe(sc, nodes, gpus, layers,
-		serve.Poisson(out.qps, seed, sc.name), cfg, graph.LoadContext{}, opt)
-	if err != nil {
+	var err error
+	if out.idle, err = servePass(ps, arrivals(), cfg, opt); err != nil {
 		out.err = err
 		return out
 	}
@@ -164,13 +275,9 @@ func servingPointRun(sc stackCase, nodes, gpus, layers int, mult float64, seed i
 	// execution that holds its bottleneck stream for D delays every
 	// request queued behind it by ~D, so loaded cost charges demand once
 	// per queued request.
-	load := graph.LoadContext{
-		QueueDepth:  out.idle.stats.MeanDepth,
-		ArrivalRate: out.qps,
-	}
-	out.loaded, err = servingServe(sc, nodes, gpus, layers,
-		serve.Poisson(out.qps, seed, sc.name), cfg, load, opt)
-	if err != nil {
+	ps.arm.name = "load-aware"
+	ps.load = graph.LoadContext{QueueDepth: out.idle.stats.MeanDepth, ArrivalRate: rate}
+	if out.loaded, err = servePass(ps, arrivals(), cfg, opt); err != nil {
 		out.err = err
 		return out
 	}
@@ -241,7 +348,33 @@ func Serving(opt Options) *Result {
 	}
 	outs := sweep.Map(opt.Parallel, len(points), func(i int) servingOutcome {
 		pt := points[i]
-		return servingPointRun(pt.sc, pt.nodes, pt.gpus, layers, pt.mult, pt.seed, opt)
+		label := fmt.Sprintf("%s %dx%d x%.2f", pt.sc.name, pt.nodes, pt.gpus, pt.mult)
+		// Calibrate the offered rate to this config's own idle Auto
+		// makespan: mult 1.0 offers servingMaxBatch requests per idle step
+		// time — the saturation knee of a single fully-batched slot.
+		cal, err := runStack(pt.sc, pt.nodes, pt.gpus, layers, 2, graph.Auto, opt)
+		if err != nil {
+			return servingOutcome{label: label, err: err}
+		}
+		requests := 64
+		if opt.Quick {
+			requests = 48
+		}
+		// Underloaded points drain in near-singleton batches, so each
+		// request is a full stack execution; they only need to show the
+		// queue stays shallow and the plan stays put. Overloaded points
+		// keep the full count — the flip depends on the backlog they
+		// build.
+		if pt.mult < 1 {
+			requests /= 3
+			if opt.Quick {
+				requests = 8
+			}
+		}
+		qps := pt.mult * servingMaxBatch / cal.dur.Seconds()
+		arrivals := func() serve.Arrivals { return serve.Poisson(qps, pt.seed, pt.sc.name) }
+		return servingPointRun(pt.sc, pt.nodes, pt.gpus, layers, label, cal.dur, qps, arrivals,
+			serve.Config{Requests: requests}, opt)
 	})
 
 	res := &Result{
@@ -303,67 +436,46 @@ func ServingPoint(nodes, gpus, layers int, qps float64, requests int,
 	if tracePath == "" && requests <= 0 && horizon <= 0 {
 		return nil, fmt.Errorf("experiments: serving needs a -requests or -duration bound")
 	}
+	// A trace is read once and shared read-only by every case and arm;
+	// its offered rate is its arrival count over its span.
+	var tr *serve.Trace
+	if tracePath != "" {
+		var err error
+		if tr, err = serve.LoadTrace(tracePath); err != nil {
+			return nil, err
+		}
+		qps = float64(len(tr.At))
+		if span := tr.At[len(tr.At)-1].Seconds(); span > 0 {
+			qps /= span
+		}
+	}
 	opt = opt.withCache()
 	label := fmt.Sprintf("%dx%d L%d", nodes, gpus, layers)
 	res := &Result{
 		ID:    "Serving" + label,
 		Title: fmt.Sprintf("idle-machine vs load-aware Auto plans under request load (%s)", label),
 	}
-	type pointOutcome struct {
-		o   servingOutcome
-		err error
-	}
 	cases := pipelineCases(opt.Quick)
-	outs := sweep.Map(opt.Parallel, len(cases), func(i int) pointOutcome {
+	outs := sweep.Map(opt.Parallel, len(cases), func(i int) servingOutcome {
 		sc := cases[i]
-		arrivals := func() (serve.Arrivals, serve.Config, float64, error) {
-			if tracePath != "" {
-				tr, err := serve.LoadTrace(tracePath)
-				if err != nil {
-					return nil, serve.Config{}, 0, err
-				}
-				if len(tr.At) == 0 {
-					return nil, serve.Config{}, 0, fmt.Errorf("experiments: trace %s is empty", tracePath)
-				}
-				rate := float64(len(tr.At))
-				if span := tr.At[len(tr.At)-1].Seconds(); span > 0 {
-					rate = float64(len(tr.At)) / span
-				}
-				return tr, serve.Config{Requests: len(tr.At)}, rate, nil
-			}
-			return serve.Poisson(qps, seed, sc.name), serve.Config{Requests: requests, Horizon: horizon}, qps, nil
-		}
-		out := servingOutcome{label: fmt.Sprintf("%s %s", sc.name, label)}
 		cal, err := runStack(sc, nodes, gpus, layers, 2, graph.Auto, opt)
 		if err != nil {
-			return pointOutcome{err: err}
+			return servingOutcome{err: err}
 		}
-		arr, cfg, rate, err := arrivals()
-		if err != nil {
-			return pointOutcome{err: err}
+		// Poisson streams are stateful: each arm draws a fresh one.
+		arrivals := func() serve.Arrivals { return serve.Poisson(qps, seed, sc.name) }
+		cfg := serve.Config{Requests: requests, Horizon: horizon}
+		if tr != nil {
+			arrivals, cfg = func() serve.Arrivals { return tr }, serve.Config{Requests: len(tr.At)}
 		}
-		cfg.SLO = servingSLOFactor * cal.dur
-		out.qps = rate
-		if out.idle, err = servingServe(sc, nodes, gpus, layers, arr, cfg, graph.LoadContext{}, opt); err != nil {
-			return pointOutcome{err: err}
-		}
-		load := graph.LoadContext{QueueDepth: out.idle.stats.MeanDepth, ArrivalRate: rate}
-		if arr, _, _, err = arrivals(); err != nil {
-			return pointOutcome{err: err}
-		}
-		if out.loaded, err = servingServe(sc, nodes, gpus, layers, arr, cfg, load, opt); err != nil {
-			return pointOutcome{err: err}
-		}
-		out.flip = out.loaded.choices != out.idle.choices
-		out.win = out.flip && out.loaded.p99() < out.idle.p99()
-		return pointOutcome{o: out}
+		return servingPointRun(sc, nodes, gpus, layers, sc.name+" "+label, cal.dur, qps, arrivals, cfg, opt)
 	})
-	for _, po := range outs {
-		if po.err != nil {
-			return nil, po.err
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
 		}
-		res.Rows = append(res.Rows, Row{Label: po.o.label, Baseline: po.o.idle.p99(), Fused: po.o.loaded.p99()})
-		res.Notes = append(res.Notes, servingNote(po.o))
+		res.Rows = append(res.Rows, Row{Label: o.label, Baseline: o.idle.p99(), Fused: o.loaded.p99()})
+		res.Notes = append(res.Notes, servingNote(o))
 	}
 	return res, nil
 }

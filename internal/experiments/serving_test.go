@@ -63,8 +63,9 @@ func TestServingLoadAwareCrossover(t *testing.T) {
 	}
 }
 
-// TestServingPointValidation covers the CLI entry point's error paths;
-// the happy path is exercised end to end by the sweep test above.
+// TestServingPointValidation covers the error paths of the CLI entry
+// points ServingPoint and ChaosPoint; their happy paths run as
+// fusionbench -mode serve / -mode chaos smokes in CI's chaos job.
 func TestServingPointValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -88,6 +89,22 @@ func TestServingPointValidation(t *testing.T) {
 		}},
 		{"missing trace", func() error {
 			_, err := ServingPoint(1, 8, 2, 0, 0, 0, "/nonexistent/trace.txt", 1, Options{Quick: true})
+			return err
+		}},
+		{"chaos bad shape", func() error {
+			_, err := ChaosPoint(0, 8, 2, "", 1000, 8, 1, Options{Quick: true})
+			return err
+		}},
+		{"chaos bad layers", func() error {
+			_, err := ChaosPoint(4, 1, 0, "", 1000, 8, 1, Options{Quick: true})
+			return err
+		}},
+		{"chaos malformed spec", func() error {
+			_, err := ChaosPoint(4, 1, 2, "bogus@1", 1000, 8, 1, Options{Quick: true})
+			return err
+		}},
+		{"chaos NaN factor", func() error {
+			_, err := ChaosPoint(4, 1, 2, "slowlink@0,xNaN", 1000, 8, 1, Options{Quick: true})
 			return err
 		}},
 	}

@@ -5,15 +5,15 @@ import (
 	"strings"
 )
 
-// Monitor tracks named slowdown observations with an exponentially
-// weighted moving average — the health-monitoring half of graceful
-// degradation. Callers feed it observed service-rate ratios (nominal
-// rate / measured rate, so 1 is healthy and 8 is an eight-fold
-// slowdown) per link, NIC, or device; consumers read back the smoothed
-// worst offender to re-price execution plans. The monitor is pure
-// bookkeeping: it never touches simulation state, and its iteration
-// order is first-observation order, so identical observation sequences
-// give byte-identical reports regardless of map layout.
+// Monitor smooths any named series with an exponentially weighted
+// moving average. Health monitoring feeds it service-rate ratios
+// (nominal / measured rate: 1 is healthy, 8 an eight-fold slowdown)
+// per link, NIC, or device and reads back the worst offender to
+// re-price plans; the serving harness feeds it queue depths. The
+// monitor is pure bookkeeping: it never touches simulation state, and
+// its iteration order is first-observation order, so identical
+// observation sequences give byte-identical reports regardless of map
+// layout.
 type Monitor struct {
 	alpha float64
 	names []string
