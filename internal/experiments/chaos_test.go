@@ -29,6 +29,7 @@ func chaosDlrmOnly(t *testing.T) []stackCase {
 // same stack in Auto, so the harness is checked against serve.Run
 // itself rather than against another of its own passes.
 func TestChaosZeroFaultMatchesServing(t *testing.T) {
+	t.Parallel()
 	const nodes, gpus, layers = 4, 1, 2
 	const seed = 42
 	opt := Options{Quick: true, Parallel: 1}.withCache()
@@ -93,6 +94,7 @@ func TestChaosDeterminismMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full sweep runs are too heavy under the race detector; the fault path is race-covered by the serve and chaos package tests")
 	}
+	t.Parallel()
 	cases := chaosDlrmOnly(t)
 	run := func(par, shards int) []chaosOutcome {
 		return chaosSweepOutcomes(cases, 4, 1, 2, 0.7,
@@ -130,6 +132,7 @@ func TestChaosDeterminismMatrix(t *testing.T) {
 // the run must drain — every generated request either served or
 // deliberately dropped, on every arm.
 func TestChaosDropRankReshardsAndDrains(t *testing.T) {
+	t.Parallel()
 	const nodes, gpus, layers = 4, 1, 2
 	opt := Options{Quick: true, Parallel: 1}.withCache()
 	sc := chaosDlrmOnly(t)[0]

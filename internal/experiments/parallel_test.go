@@ -21,6 +21,7 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full quick sweeps are too heavy under the race detector; the parallel runner is race-covered by TestParallelRunnerSharedCacheRace")
 	}
+	t.Parallel()
 	sweeps := []struct {
 		name string
 		run  func(Options) *Result
@@ -51,6 +52,7 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 // sized for the race detector, which is the point: run under -race
 // this is the sweep runner's concurrency regression test.
 func TestParallelRunnerSharedCacheRace(t *testing.T) {
+	t.Parallel()
 	serial, err := PipelinePoint(1, 4, 2, 2, graph.Auto, Options{Quick: true, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -7,20 +7,29 @@ import "sync"
 // its rows and notes, the determinism matrix compares it against a
 // worker-pool run — and the sweeps are deterministic by construction
 // (that is the invariant the matrix enforces), so the package computes
-// each serial sweep exactly once instead of once per consumer. The
-// shared *Result must be treated as read-only by every caller.
+// each serial sweep exactly once instead of once per consumer. Each
+// sweep has its own entry, so parallel tests compute different sweeps
+// concurrently and only wait on a sweep another test is already
+// computing. The shared *Result must be treated as read-only by every
+// caller.
 var quickSerial = struct {
 	mu sync.Mutex
-	m  map[string]*Result
-}{m: map[string]*Result{}}
+	m  map[string]*quickEntry
+}{m: map[string]*quickEntry{}}
+
+type quickEntry struct {
+	once sync.Once
+	r    *Result
+}
 
 func quickSerialResult(name string, run func(Options) *Result) *Result {
 	quickSerial.mu.Lock()
-	defer quickSerial.mu.Unlock()
-	if r, ok := quickSerial.m[name]; ok {
-		return r
+	e, ok := quickSerial.m[name]
+	if !ok {
+		e = &quickEntry{}
+		quickSerial.m[name] = e
 	}
-	r := run(Options{Quick: true, Parallel: 1})
-	quickSerial.m[name] = r
-	return r
+	quickSerial.mu.Unlock()
+	e.once.Do(func() { e.r = run(Options{Quick: true, Parallel: 1}) })
+	return e.r
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"fusedcc/internal/sweep"
 )
 
 // TestServingLoadAwareCrossover is the PR's acceptance criterion plus
@@ -25,8 +27,13 @@ func TestServingLoadAwareCrossover(t *testing.T) {
 	if raceEnabled {
 		t.Skip("quick serving sweep is too heavy under the race detector; serve's concurrency is race-covered by its own package tests")
 	}
-	res := Serving(Options{Quick: true, Parallel: 1})
-	parallel := Serving(Options{Quick: true, Parallel: 4})
+	t.Parallel()
+	// The serial and worker-pool sweeps share nothing, so they run side
+	// by side.
+	runs := sweep.Map(2, 2, func(i int) *Result {
+		return Serving(Options{Quick: true, Parallel: []int{1, 4}[i]})
+	})
+	res, parallel := runs[0], runs[1]
 	if !reflect.DeepEqual(res, parallel) {
 		t.Errorf("serial and parallel serving sweeps differ:\nserial:\n%v\nparallel:\n%v", res, parallel)
 	}
