@@ -29,7 +29,7 @@ func chaosDlrmOnly(t *testing.T) []stackCase {
 // same stack in Auto, so the harness is checked against serve.Run
 // itself rather than against another of its own passes.
 func TestChaosZeroFaultMatchesServing(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	const nodes, gpus, layers = 4, 1, 2
 	const seed = 42
 	opt := Options{Quick: true, Parallel: 1}.withCache()
@@ -132,7 +132,7 @@ func TestChaosDeterminismMatrix(t *testing.T) {
 // the run must drain — every generated request either served or
 // deliberately dropped, on every arm.
 func TestChaosDropRankReshardsAndDrains(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	const nodes, gpus, layers = 4, 1, 2
 	opt := Options{Quick: true, Parallel: 1}.withCache()
 	sc := chaosDlrmOnly(t)[0]

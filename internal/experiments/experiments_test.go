@@ -231,7 +231,7 @@ func TestHybridShapeValidatesShape(t *testing.T) {
 // — contain at least one multi-layer configuration with K>=2 chunks
 // where the pipelined makespan does not exceed eager.
 func TestPipelineQuickShape(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	res := quickSerialResult("pipeline", Pipeline)
 	if len(res.Rows) == 0 || len(res.Notes) != len(res.Rows) {
 		t.Fatalf("rows=%d notes=%d", len(res.Rows), len(res.Notes))
@@ -258,7 +258,7 @@ func TestPipelineQuickShape(t *testing.T) {
 // TestPipelinePointModes verifies the single-configuration runner pairs
 // eager against the requested mode and validates its inputs.
 func TestPipelinePointModes(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	res, err := PipelinePoint(1, 4, 2, 2, graph.Eager, quick)
 	if err != nil {
 		t.Fatal(err)

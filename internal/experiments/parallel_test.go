@@ -52,7 +52,7 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 // sized for the race detector, which is the point: run under -race
 // this is the sweep runner's concurrency regression test.
 func TestParallelRunnerSharedCacheRace(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	serial, err := PipelinePoint(1, 4, 2, 2, graph.Auto, Options{Quick: true, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package experiments
 
-import "sync"
+import (
+	"sync"
+	"testing"
+)
 
 // quickSerial memoizes the serial (Parallel: 1) quick run of each BENCH
 // sweep. Several tests assert on the same sweep — the shape tests read
@@ -32,4 +35,13 @@ func quickSerialResult(name string, run func(Options) *Result) *Result {
 	quickSerial.mu.Unlock()
 	e.once.Do(func() { e.r = run(Options{Quick: true, Parallel: 1}) })
 	return e.r
+}
+
+// parallelUnlessRace runs a heavy test in parallel with the others,
+// except under the race detector: there each test's shadow memory is
+// several times its heap, so these tests keep running one at a time.
+func parallelUnlessRace(t *testing.T) {
+	if !raceEnabled {
+		t.Parallel()
+	}
 }

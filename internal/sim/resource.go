@@ -23,12 +23,7 @@ type Resource struct {
 	capacity float64           // peak bytes/sec
 	eff      func(int) float64 // usable fraction of capacity given n flows
 
-	flows []*flow
-	// byCap holds the same flows in water-filling order: ascending cap,
-	// uncapped last, admission order among equal caps — the order a
-	// stable sort of flows by cap produces, kept up to date on admit and
-	// completion so waterfill never sorts.
-	byCap      []*flow
+	flows      []*flow
 	lastUpdate Time
 	timer      *event
 
@@ -176,22 +171,7 @@ func (r *Resource) admit(f *flow) {
 	r.advance()
 	r.totalBytes += f.remaining
 	r.flows = append(r.flows, f)
-	// Insert after every flow with an equal or smaller key: the new flow
-	// is the latest admitted, so it goes last among its equals.
-	k := capKey(f.cap)
-	i := sort.Search(len(r.byCap), func(i int) bool { return capKey(r.byCap[i].cap) > k })
-	r.byCap = append(r.byCap, nil)
-	copy(r.byCap[i+1:], r.byCap[i:])
-	r.byCap[i] = f
 	r.reallocate()
-}
-
-// capKey orders flows for water-filling: by cap, uncapped (0) last.
-func capKey(c float64) float64 {
-	if c == 0 {
-		return math.MaxFloat64
-	}
-	return c
 }
 
 // advance applies progress since lastUpdate at the current rates and
@@ -218,17 +198,6 @@ func (r *Resource) advance() {
 		}
 		live = append(live, f)
 	}
-	if len(live) < len(r.flows) {
-		clear(r.flows[len(live):])
-		byCap := r.byCap[:0]
-		for _, f := range r.byCap {
-			if !f.done {
-				byCap = append(byCap, f)
-			}
-		}
-		clear(r.byCap[len(byCap):])
-		r.byCap = byCap
-	}
 	r.flows = live
 }
 
@@ -249,10 +218,21 @@ func (r *Resource) reallocate() {
 		r.e.cancel(r.timer)
 		r.timer = nil
 	}
-	if len(r.flows) == 0 {
+	n := len(r.flows)
+	if n == 0 {
 		return
 	}
-	min := r.waterfill()
+	r.waterfill()
+	// Next completion.
+	min := math.MaxFloat64
+	for _, f := range r.flows {
+		if f.rate <= 0 {
+			continue
+		}
+		if t := f.remaining / f.rate; t < min {
+			min = t
+		}
+	}
 	if min == math.MaxFloat64 {
 		// All flows capped at zero — configuration error.
 		panic("sim: resource " + r.name + " has flows with zero rate")
@@ -396,45 +376,42 @@ func (s *Server) Utilization() float64 {
 }
 
 // waterfill assigns rates: capped flows below the fair share get their
-// cap; the surplus is redistributed among the rest. It returns the
-// seconds until the first flow completes at the new rates, or
-// math.MaxFloat64 when no flow has a positive rate.
-func (r *Resource) waterfill() float64 {
+// cap; the surplus is redistributed among the rest.
+func (r *Resource) waterfill() {
 	n := len(r.flows)
 	total := r.usable(n)
-	// Fast path: uniform uncapped or generous caps. byCap puts the
-	// smallest positive cap first after any (meaningless) negative ones.
+	// Fast path: uniform uncapped or generous caps.
 	share := total / float64(n)
 	allAbove := true
-	for _, f := range r.byCap {
-		if f.cap < 0 {
-			continue
+	for _, f := range r.flows {
+		if f.cap > 0 && f.cap < share {
+			allAbove = false
+			break
 		}
-		allAbove = !(f.cap > 0 && f.cap < share)
-		break
 	}
 	if allAbove {
-		least := math.Inf(1)
 		for _, f := range r.flows {
 			f.rate = share
-			if f.remaining < least {
-				least = f.remaining
-			}
 		}
-		// Every flow runs at share, and dividing by a positive share
-		// preserves order, so the least remaining finishes first.
-		if share > 0 {
-			if t := least / share; t < math.MaxFloat64 {
-				return t
-			}
-		}
-		return math.MaxFloat64
+		return
 	}
-	// General water-filling in cap order: satisfy small caps, split the
-	// remainder.
+	// General water-filling: sort by cap ascending, satisfy small caps,
+	// split the remainder.
+	sorted := make([]*flow, n)
+	copy(sorted, r.flows)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		ci, cj := sorted[i].cap, sorted[j].cap
+		if ci == 0 {
+			ci = math.MaxFloat64
+		}
+		if cj == 0 {
+			cj = math.MaxFloat64
+		}
+		return ci < cj
+	})
 	remainingCap := total
 	remainingFlows := n
-	for _, f := range r.byCap {
+	for _, f := range sorted {
 		fair := remainingCap / float64(remainingFlows)
 		if f.cap > 0 && f.cap < fair {
 			f.rate = f.cap
@@ -444,14 +421,4 @@ func (r *Resource) waterfill() float64 {
 		remainingCap -= f.rate
 		remainingFlows--
 	}
-	min := math.MaxFloat64
-	for _, f := range r.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.remaining / f.rate; t < min {
-			min = t
-		}
-	}
-	return min
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -89,85 +88,6 @@ func TestResourceCapSurplusRedistributed(t *testing.T) {
 	if got, want := free, Time(Second); absT(got-want) > 10 {
 		t.Errorf("free done at %v, want ~%v", got, want)
 	}
-}
-
-// TestResourceWaterfillOrder drives mixed, repeated and absent caps
-// through staggered arrivals and completions, and checks at every
-// sample that the maintained cap order is the stable cap sort of the
-// live flows and that every rate is the water-filling rate in that
-// order, bit for bit.
-func TestResourceWaterfillOrder(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link", 10*gb, nil)
-	caps := []float64{0, 0.5 * gb, 2 * gb, 0.5 * gb, 0, 4 * gb, 0.1 * gb, 2 * gb}
-	const n = 48
-	x := uint64(1)
-	next := func(m uint64) uint64 {
-		x = x*6364136223846793005 + 1442695040888963407
-		return (x >> 33) % m
-	}
-	done := 0
-	for i := 0; i < n; i++ {
-		start := Time(next(200)) * Time(Microsecond)
-		bytes := float64(1+next(64)) * 1e5
-		c := caps[i%len(caps)]
-		e.At(start, func() { r.TransferAsync(bytes, c, func() { done++ }) })
-	}
-	samples, capped := 0, 0
-	e.Go("check", func(p *Proc) {
-		for done < n {
-			p.Sleep(3 * Microsecond)
-			samples++
-			if !checkWaterfill(t, r) {
-				capped++
-			}
-		}
-	})
-	e.Run()
-	if samples < 20 || capped == 0 {
-		t.Fatalf("%d samples, %d on the capped path: the run did not exercise water-filling", samples, capped)
-	}
-}
-
-// checkWaterfill recomputes r's allocation from a stable sort of its
-// live flows and reports whether it took the uniform fast path.
-func checkWaterfill(t *testing.T, r *Resource) bool {
-	t.Helper()
-	want := append([]*flow(nil), r.flows...)
-	sort.SliceStable(want, func(i, j int) bool { return capKey(want[i].cap) < capKey(want[j].cap) })
-	if len(want) != len(r.byCap) {
-		t.Fatalf("cap order holds %d flows, want %d", len(r.byCap), len(want))
-	}
-	if len(want) == 0 {
-		return true
-	}
-	total := r.usable(len(want))
-	share := total / float64(len(want))
-	uniform := true
-	for _, f := range want {
-		if f.cap > 0 && f.cap < share {
-			uniform = false
-		}
-	}
-	left := len(want)
-	for i, f := range want {
-		if r.byCap[i] != f {
-			t.Fatalf("cap order diverges from the stable sort at %d", i)
-		}
-		rate := share
-		if !uniform {
-			rate = total / float64(left)
-			if f.cap > 0 && f.cap < rate {
-				rate = f.cap
-			}
-			total -= rate
-			left--
-		}
-		if f.rate != rate {
-			t.Fatalf("flow %d (cap %g) runs at %g, water-filling gives %g", i, f.cap, f.rate, rate)
-		}
-	}
-	return uniform
 }
 
 func TestResourceEfficiencyCurve(t *testing.T) {
