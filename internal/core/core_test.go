@@ -16,7 +16,16 @@ import (
 
 // testPlatform builds a small functional cluster with paper-like ratios.
 func testPlatform(e *sim.Engine, nodes, gpn int) *platform.Platform {
-	cfg := platform.Config{
+	pl, err := platform.New(e, testConfig(nodes, gpn))
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
+// testConfig is testPlatform's cluster configuration.
+func testConfig(nodes, gpn int) platform.Config {
+	return platform.Config{
 		Nodes:       nodes,
 		GPUsPerNode: gpn,
 		GPU: gpu.Config{
@@ -31,11 +40,6 @@ func testPlatform(e *sim.Engine, nodes, gpn int) *platform.Platform {
 		NICBandwidth: 2e9,
 		NICLatency:   2 * sim.Microsecond,
 	}
-	pl, err := platform.New(e, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return pl
 }
 
 func newWorld(e *sim.Engine, nodes, gpn int) (*platform.Platform, *shmem.World) {
