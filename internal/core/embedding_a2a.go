@@ -251,7 +251,7 @@ func (op *EmbeddingAllToAll) runRank(rp *sim.Proc, s int, dev *gpu.Device, slice
 				}
 			}
 			raise := func(d int) {
-				w.StoreRemoteFlag(wg, op.PEs[d], storeDone, s*phys+wg.PhysID, 1)
+				w.SendFlag(wg, op.PEs[d], storeDone, s*phys+wg.PhysID, 1)
 			}
 			for d := 0; d < op.k; d++ {
 				if !crossNodeTo(d) && remaining[d] == 0 {
@@ -278,7 +278,7 @@ func (op *EmbeddingAllToAll) runRank(rp *sim.Proc, s int, dev *gpu.Device, slice
 					// into the destination layout (local rows are
 					// plain stores into our own Out).
 					bag.GatherRows(wg, b0, rowsPerWG, scratch)
-					w.StoreValuesRows(wg, dstPE, op.Out, op.dstOffset(gt, b0-d*op.L), op.rowStride, scratch, rowsPerWG, op.D)
+					w.SendValuesRows(wg, dstPE, op.Out, op.dstOffset(gt, b0-d*op.L), op.rowStride, scratch, rowsPerWG, op.D)
 				}
 				if tracePE {
 					tl.Add(wg.PhysID, trace.Compute, start, wg.P.Now(), fmt.Sprintf("slice%d", sl))

@@ -171,7 +171,7 @@ func (g *EmbeddingGradExchange) runRank(rp *sim.Proc, s int, arrived *shmem.Flag
 					for r := 0; r < rows; r++ {
 						dbuf.CopyWithin(g.GradInAt(true, it.t, b0+r), g.GradOut.On(pe), srcOff+r*op.rowStride, op.D)
 					}
-					w.StoreRemoteFlag(wg, pe, arrived, fi, 1)
+					w.SendFlag(wg, pe, arrived, fi, 1)
 					continue
 				}
 				dstPE := op.PEs[it.owner]

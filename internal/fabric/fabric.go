@@ -25,11 +25,10 @@ type Config struct {
 	StoreLatency sim.Duration
 	// PerWGStoreBandwidth caps the store rate of a single workgroup.
 	PerWGStoreBandwidth float64
-	// CopyEfficiency derates blit-kernel/DMA copies (Copy, CopyAsync)
-	// relative to the raw link: copy engines and protocol handshakes
-	// keep library collectives below peak link bandwidth. Fine-grained
-	// stores from compute workgroups (Store) are not derated. Zero
-	// means 1.0.
+	// CopyEfficiency derates blit-kernel/DMA copies (Copy) relative to
+	// the raw link: copy engines and protocol handshakes keep library
+	// collectives below peak link bandwidth. Fine-grained stores from
+	// compute workgroups (StoreAsync) are not derated. Zero means 1.0.
 	CopyEfficiency float64
 }
 
@@ -96,19 +95,25 @@ func (f *Fabric) Link(src, dst int) *sim.Resource {
 	return l
 }
 
-// Store streams bytes from src to dst as remote stores issued by lanes
-// parallel workgroups, blocking the calling process until the stream
-// drains. The lane-scaled per-WG store bandwidth cap and the link's
-// fair sharing both apply.
-func (f *Fabric) Store(p *sim.Proc, src, dst int, bytes float64, lanes int) {
+// StoreAsync streams bytes from src to dst as native stores issued by
+// one workgroup of lanes parallel lanes and calls onDone (optional)
+// when the last byte lands. The stream opens after the store latency,
+// then moves at the lane-scaled per-WG store rate under the link's
+// fair sharing. Stores to self are accounted by the GPU memory model,
+// so they complete at once.
+func (f *Fabric) StoreAsync(src, dst int, bytes float64, lanes int, onDone func()) {
 	if src == dst || bytes <= 0 {
-		return // local stores are accounted by the GPU memory model
+		if onDone != nil {
+			f.e.At(f.e.Now(), onDone)
+		}
+		return
 	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	p.Sleep(f.cfg.StoreLatency)
-	f.Link(src, dst).Transfer(p, bytes, f.cfg.PerWGStoreBandwidth*float64(lanes))
+	lanes = max(lanes, 1)
+	link := f.Link(src, dst)
+	rate := f.cfg.PerWGStoreBandwidth * float64(lanes)
+	f.e.After(f.cfg.StoreLatency, func() {
+		link.TransferAsync(bytes, rate, onDone)
+	})
 }
 
 // Copy streams bytes from src to dst as a blit-kernel / DMA copy — the
@@ -119,20 +124,4 @@ func (f *Fabric) Copy(p *sim.Proc, src, dst int, bytes float64) {
 	}
 	p.Sleep(f.cfg.StoreLatency)
 	f.Link(src, dst).Transfer(p, bytes, f.cfg.copyRate())
-}
-
-// CopyAsync is Copy with completion delivered via callback, for DMA
-// engines that keep several transfers in flight.
-func (f *Fabric) CopyAsync(src, dst int, bytes float64, onDone func()) {
-	if src == dst || bytes <= 0 {
-		if onDone != nil {
-			f.e.At(f.e.Now(), onDone)
-		}
-		return
-	}
-	link := f.Link(src, dst)
-	rate := f.cfg.copyRate()
-	f.e.After(f.cfg.StoreLatency, func() {
-		link.TransferAsync(bytes, rate, onDone)
-	})
 }

@@ -14,10 +14,7 @@ func TestStoreRespectsPerWGCap(t *testing.T) {
 	e := sim.NewEngine()
 	f := New(e, 2, cfg())
 	var end sim.Time
-	e.Go("wg", func(p *sim.Proc) {
-		f.Store(p, 0, 1, 0.25e9, 1)
-		end = p.Now()
-	})
+	f.StoreAsync(0, 1, 0.25e9, 1, func() { end = e.Now() })
 	e.Run()
 	want := sim.Time(sim.Second + 100) // capped at 0.25 GB/s + latency
 	if d := end - want; d < -10 || d > 10 {
@@ -63,10 +60,9 @@ func TestConcurrentStoresShareLink(t *testing.T) {
 	var end sim.Time
 	done := 0
 	for i := 0; i < 8; i++ {
-		e.Go("wg", func(p *sim.Proc) {
-			f.Store(p, 0, 1, 0.125e9, 1)
+		f.StoreAsync(0, 1, 0.125e9, 1, func() {
 			done++
-			end = p.Now()
+			end = e.Now()
 		})
 	}
 	e.Run()
@@ -82,28 +78,16 @@ func TestConcurrentStoresShareLink(t *testing.T) {
 func TestSelfStoreIsFree(t *testing.T) {
 	e := sim.NewEngine()
 	f := New(e, 2, cfg())
-	e.Go("wg", func(p *sim.Proc) {
-		f.Store(p, 1, 1, 1e12, 1)
-		if p.Now() != 0 {
-			t.Errorf("self store advanced time to %v", p.Now())
+	fired := false
+	f.StoreAsync(1, 1, 1e12, 1, func() {
+		fired = true
+		if e.Now() != 0 {
+			t.Errorf("self store completed at %v", e.Now())
 		}
 	})
 	e.Run()
-}
-
-func TestCopyAsync(t *testing.T) {
-	e := sim.NewEngine()
-	f := New(e, 3, cfg())
-	fired := 0
-	f.CopyAsync(0, 2, 0.5e9, func() { fired++ })
-	f.CopyAsync(1, 1, 123, func() { fired++ }) // self: immediate
-	end := e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-	want := sim.Time(500*sim.Millisecond + 100)
-	if d := end - want; d < -10 || d > 10 {
-		t.Errorf("async copy done at %v, want ~%v", end, want)
+	if !fired {
+		t.Error("self store never completed")
 	}
 }
 

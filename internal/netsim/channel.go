@@ -18,10 +18,8 @@ type Channel struct {
 	src, dst int
 	overhead sim.Duration // per-message posting/doorbell cost
 
-	queue    []message
-	busy     bool
-	inflight int
-	idle     *sim.Cond
+	queue []message
+	busy  bool
 
 	posted    int
 	delivered int
@@ -36,8 +34,8 @@ type message struct {
 // overhead is the per-message posting cost charged on the channel (WQE
 // build + doorbell), not on the posting workgroup.
 //
-// A channel's queue, in-flight count and Quiet condition all live on the
-// source side, so both endpoints must map to the same shard engine —
+// A channel's queue and delivery callbacks all live on the source
+// side's engine, so both endpoints must map to the same shard engine —
 // shmem worlds guarantee this by declaring zero-latency couplings that
 // collapse the partition (see platform.Config.Partition). A channel
 // whose endpoints span shards panics at construction rather than racing.
@@ -49,7 +47,7 @@ func NewChannel(w sim.World, net Network, src, dst int, overhead sim.Duration) *
 	if e != w.EngineFor(dst) {
 		panic(fmt.Sprintf("netsim: channel %d->%d spans shards; the partition must co-shard channel endpoints", src, dst))
 	}
-	return &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead, idle: sim.NewCond(e)}
+	return &Channel{e: e, net: net, src: src, dst: dst, overhead: overhead}
 }
 
 // Posted reports how many messages have been posted.
@@ -70,18 +68,10 @@ func (c *Channel) Post(bytes float64, onDelivered func()) {
 	}
 }
 
-// Quiet blocks p until every message posted so far has been delivered.
-func (c *Channel) Quiet(p *sim.Proc) {
-	c.idle.Wait(p, func() bool {
-		return len(c.queue) == 0 && c.inflight == 0
-	})
-}
-
 func (c *Channel) drain(p *sim.Proc) {
 	for len(c.queue) > 0 {
 		m := c.queue[0]
 		c.queue = c.queue[1:]
-		c.inflight++
 		p.Sleep(c.overhead)
 		links, lat := c.net.Path(c.src, c.dst)
 		for _, l := range links {
@@ -92,13 +82,10 @@ func (c *Channel) drain(p *sim.Proc) {
 		done := m.onDelivered
 		c.e.After(lat, func() {
 			c.delivered++
-			c.inflight--
 			if done != nil {
 				done()
 			}
-			c.idle.Broadcast()
 		})
 	}
 	c.busy = false
-	c.idle.Broadcast()
 }

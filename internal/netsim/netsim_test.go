@@ -126,7 +126,6 @@ func TestChannelOrderedDelivery(t *testing.T) {
 	// posted second (QP ordering).
 	ch.Post(100e6, func() { order = append(order, 1) })
 	ch.Post(10, func() { order = append(order, 2) })
-	e.Go("sync", func(p *sim.Proc) { ch.Quiet(p) })
 	e.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Errorf("delivery order = %v, want [1 2]", order)
@@ -136,31 +135,15 @@ func TestChannelOrderedDelivery(t *testing.T) {
 	}
 }
 
-func TestChannelQuietWaitsForDelivery(t *testing.T) {
-	e := sim.NewEngine()
-	net := NewPointToPoint(e, 2, 1e9, 10*sim.Microsecond)
-	ch := NewChannel(e, net, 0, 1, 0)
-	delivered := false
-	ch.Post(1e6, func() { delivered = true })
-	e.Go("sync", func(p *sim.Proc) {
-		ch.Quiet(p)
-		if !delivered {
-			t.Error("Quiet returned before delivery")
-		}
-	})
-	e.Run()
-}
-
 func TestChannelPipelinesLatency(t *testing.T) {
 	// Two messages of 1ms serialization with 100us propagation should
 	// finish in ~2ms + 100us, not 2ms + 200us.
 	e := sim.NewEngine()
 	net := NewPointToPoint(e, 2, 1e9, 100*sim.Microsecond)
 	ch := NewChannel(e, net, 0, 1, 0)
-	ch.Post(1e6, nil)
-	ch.Post(1e6, nil)
 	var end sim.Time
-	e.Go("sync", func(p *sim.Proc) { ch.Quiet(p); end = p.Now() })
+	ch.Post(1e6, nil)
+	ch.Post(1e6, func() { end = e.Now() })
 	e.Run()
 	want := sim.Time(2*sim.Millisecond + 100*sim.Microsecond)
 	if d := end - want; d < -1000 || d > 1000 {
@@ -194,7 +177,6 @@ func TestChannelOrderingProperty(t *testing.T) {
 			i := i
 			ch.Post(float64(sz)+1, func() { order = append(order, i) })
 		}
-		e.Go("sync", func(p *sim.Proc) { ch.Quiet(p) })
 		e.Run()
 		if len(order) != len(sizes) {
 			return false

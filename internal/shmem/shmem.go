@@ -1,17 +1,22 @@
 // Package shmem provides GPU-initiated intra-kernel communication in the
 // style of ROC_SHMEM / NVSHMEM (paper §II-B): a symmetric heap across
-// processing elements (PEs, one per GPU), non-blocking puts, fences,
-// quiet, and waitable flags — all callable from inside simulated kernels
-// through a workgroup context.
+// processing elements (PEs, one per GPU) and waitable flags, written
+// from inside simulated kernels through a workgroup context.
 //
-// Two data paths exist, matching the paper:
+// A workgroup sends its finished results to a peer along one of two
+// paths, matching the paper:
 //
-//   - Scale-out (different nodes): PutNbi posts a message on an ordered
-//     per-PE-pair channel (an RDMA queue pair over the NIC). Delivery is
-//     asynchronous; ordering within a pair makes put-fence-flag correct.
-//   - Scale-up (same node): StoreRemote streams native stores over the
-//     fabric directly into the peer's memory, blocking the issuing
-//     workgroup — the zero-copy path with no intermediate buffering.
+//   - Staged puts (§III-A): PutNbiRows posts a block from a local buffer
+//     on the pair's ordered channel (an RDMA queue pair over the NIC, or
+//     a DMA channel over the fabric within a node); Fence and PutFlagNbi
+//     then publish it. Delivery is asynchronous; ordering within a pair
+//     makes put-fence-flag correct.
+//   - Route-selecting sends (§III-B): SendValuesRows / SendValues write
+//     register-resident results to any PE and SendFlag publishes them.
+//     Within a node they become zero-copy native stores streamed over
+//     the fabric directly into the peer's memory; across nodes they
+//     become staged puts. One fused kernel thus runs unchanged on
+//     scale-up, scale-out and hybrid clusters.
 package shmem
 
 import (
@@ -228,61 +233,65 @@ func (f *Flags) WaitGE(wg *gpu.WG, idx int, v int64) {
 	f.flags[wg.Dev.ID()][idx].WaitGE(wg.P, v)
 }
 
-// PutNbi issues a non-blocking put of n float32 from a local buffer into
-// dst's instance of the symmetric allocation. The call returns after the
-// API overhead; the transfer proceeds on the pair's ordered channel and
-// the data lands at delivery time. Source data is read at delivery (the
-// producer must not overwrite it before a Fence/Quiet, as on hardware).
-func (w *World) PutNbi(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, src *gpu.Buffer, srcOff, n int) {
-	wg.Busy(w.cfg.PutAPIOverhead)
-	if n <= 0 {
-		return
+// rowCopy returns the closure that lands a block of rows of rowLen
+// elements, dstStride apart from dstOff, in dbuf. The rows come from
+// src at srcOff with srcStride, read when the closure runs (a put's
+// source is read at delivery, as on hardware); or, when src is nil, from
+// vals, register-resident results snapshotted now so the caller may
+// reuse its scratch space. Nil vals or a timing-mode destination copy
+// nothing.
+func rowCopy(dbuf *gpu.Buffer, dstOff, dstStride int, src *gpu.Buffer, srcOff, srcStride int, vals []float32, rows, rowLen int) func() {
+	if src != nil {
+		return func() {
+			for r := 0; r < rows; r++ {
+				dbuf.CopyWithin(dstOff+r*dstStride, src, srcOff+r*srcStride, rowLen)
+			}
+		}
 	}
-	srcPE := wg.Dev.ID()
-	if srcPE == dstPE {
-		dst.On(dstPE).CopyWithin(dstOff, src, srcOff, n)
-		return
+	if vals == nil || !dbuf.Functional() {
+		return func() {}
 	}
-	dbuf := dst.On(dstPE)
-	bytes := float64(n) * 4
-	// The transfer engine reads the staging buffer and the delivery
-	// writes destination memory — intermediate-buffering traffic the
-	// zero-copy store path avoids.
+	snap := append([]float32(nil), vals[:rows*rowLen]...)
+	return func() {
+		for r := 0; r < rows; r++ {
+			copy(dbuf.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], snap[r*rowLen:(r+1)*rowLen])
+		}
+	}
+}
+
+// post sends bytes from srcPE to dstPE on the pair's ordered channel and
+// runs apply at delivery. The transfer engine reads the staging buffer
+// and the delivery writes destination memory — intermediate-buffering
+// traffic the zero-copy store path avoids.
+func (w *World) post(srcPE, dstPE int, bytes float64, apply func()) {
 	w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
 	w.channel(srcPE, dstPE).Post(bytes, func() {
 		w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
-		dbuf.CopyWithin(dstOff, src, srcOff, n)
+		apply()
 	})
 }
 
-// PutNbiRows is PutNbi for a strided block: rows of rowLen elements,
-// read from src at srcOff with srcStride, landing at dstOff with
-// dstStride in dst's instance. The block travels as a single message —
-// the point-to-point layout freedom the paper exploits to deliver
-// All-to-All slices directly in the layout the interaction kernel wants
-// (no shuffle kernel on the receiver).
+// PutNbiRows issues a non-blocking put of a strided block: rows of
+// rowLen elements, read from src at srcOff with srcStride, landing at
+// dstOff with dstStride in dstPE's instance of the symmetric
+// allocation. The call returns after the API overhead; the block
+// travels as a single message on the pair's ordered channel and lands
+// at delivery time. Source data is read at delivery (the producer must
+// not overwrite it before the consumer's flag, as on hardware). One
+// message per block is the point-to-point layout freedom the paper
+// exploits to deliver All-to-All slices directly in the layout the
+// interaction kernel wants (no shuffle kernel on the receiver).
 func (w *World) PutNbiRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, src *gpu.Buffer, srcOff, srcStride, rows, rowLen int) {
 	wg.Busy(w.cfg.PutAPIOverhead)
 	if rows <= 0 || rowLen <= 0 {
 		return
 	}
-	srcPE := wg.Dev.ID()
-	apply := func() {
-		dbuf := dst.On(dstPE)
-		for r := 0; r < rows; r++ {
-			dbuf.CopyWithin(dstOff+r*dstStride, src, srcOff+r*srcStride, rowLen)
-		}
-	}
-	if srcPE == dstPE {
-		apply()
+	apply := rowCopy(dst.On(dstPE), dstOff, dstStride, src, srcOff, srcStride, nil, rows, rowLen)
+	if srcPE := wg.Dev.ID(); srcPE != dstPE {
+		w.post(srcPE, dstPE, float64(rows*rowLen)*4, apply)
 		return
 	}
-	bytes := float64(rows*rowLen) * 4
-	w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
-	w.channel(srcPE, dstPE).Post(bytes, func() {
-		w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
-		apply()
-	})
+	apply()
 }
 
 // PutFlagNbi posts a flag update on the same ordered channel as data
@@ -304,49 +313,28 @@ func (w *World) PutFlagNbi(wg *gpu.WG, dstPE int, f *Flags, idx int, delta int64
 // already deliver in order, so the fence costs only its API overhead.
 func (w *World) Fence(wg *gpu.WG) { wg.Busy(w.cfg.FlagAPIOverhead) }
 
-// Quiet blocks the workgroup until every put it issued (on any channel
-// originating at its PE) has been delivered.
-func (w *World) Quiet(wg *gpu.WG) {
-	srcPE := wg.Dev.ID()
-	for dst := 0; dst < w.NPEs(); dst++ {
-		if c, ok := w.chans[[2]int{srcPE, dst}]; ok {
-			c.Quiet(wg.P)
-		}
-	}
-}
-
 // remoteStore issues bytes of native stores from wg toward a same-node
 // peer. Stores retire through write-combining buffers: the workgroup is
 // charged only a small issue cost and proceeds; the bytes stream over
-// the fabric asynchronously (at the lane-scaled per-WG store rate,
-// sharing the link fairly) and apply lands when the last byte arrives.
-// Visibility is established by StoreFence / StoreRemoteFlag, which wait
-// for the pair's outstanding stores — the fence-the-stores-then-flag
-// idiom of the zero-copy fused kernels (§III-B).
+// the fabric asynchronously (fabric.StoreAsync: the lane-scaled per-WG
+// store rate, sharing the link fairly) and apply lands when the last
+// byte arrives. Visibility is established by storeFence /
+// storeRemoteFlag, which wait for the pair's outstanding stores — the
+// fence-the-stores-then-flag idiom of the zero-copy fused kernels
+// (§III-B).
 func (w *World) remoteStore(wg *gpu.WG, dstPE int, bytes float64, apply func()) {
 	srcPE := wg.Dev.ID()
 	if !w.pl.SameNode(srcPE, dstPE) {
-		panic(fmt.Sprintf("shmem: native store across nodes (%d->%d); use PutNbi", srcPE, dstPE))
+		panic(fmt.Sprintf("shmem: native store across nodes (%d->%d); use PutNbiRows", srcPE, dstPE))
 	}
 	wg.Busy(w.cfg.FlagAPIOverhead) // store-issue cost
 	cnt := w.storeInFlight(srcPE, dstPE, wg.PhysID)
 	cnt.Add(1)
-	fab := w.pl.FabricOf(srcPE)
-	lanes := wg.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	rate := fab.Config().PerWGStoreBandwidth * float64(lanes)
-	link := fab.Link(w.pl.LocalIdx(srcPE), w.pl.LocalIdx(dstPE))
 	dstHBM := w.pl.Device(dstPE).HBM()
-	w.pl.E.After(fab.Config().StoreLatency, func() {
-		link.TransferAsync(bytes, rate, func() {
-			dstHBM.TransferAsync(bytes, 0, nil)
-			if apply != nil {
-				apply()
-			}
-			cnt.Add(-1)
-		})
+	w.pl.FabricOf(srcPE).StoreAsync(w.pl.LocalIdx(srcPE), w.pl.LocalIdx(dstPE), bytes, wg.Lanes, func() {
+		dstHBM.TransferAsync(bytes, 0, nil)
+		apply()
+		cnt.Add(-1)
 	})
 }
 
@@ -365,10 +353,10 @@ func (w *World) storeInFlight(srcPE, dstPE, phys int) *sim.Flag {
 	return cnt
 }
 
-// StoreFence blocks the workgroup until its own outstanding native
+// storeFence blocks the workgroup until its own outstanding native
 // stores to dstPE have become visible remotely (the cache-flush +
 // wait-for-acks sequence of §II-B).
-func (w *World) StoreFence(wg *gpu.WG, dstPE int) {
+func (w *World) storeFence(wg *gpu.WG, dstPE int) {
 	srcPE := wg.Dev.ID()
 	if srcPE == dstPE {
 		return
@@ -378,40 +366,18 @@ func (w *World) StoreFence(wg *gpu.WG, dstPE int) {
 	}
 }
 
-// StoreRemote streams n float32 as native stores from the workgroup
-// directly into dst's instance of the symmetric allocation — the
-// zero-copy scale-up path (§III-B). Same-PE stores are charged to local
-// memory bandwidth; peer stores are issued fire-and-forget (see
-// remoteStore). Cross-node stores are impossible on real hardware and
-// panic here.
-func (w *World) StoreRemote(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, src *gpu.Buffer, srcOff, n int) {
-	if n <= 0 {
-		return
-	}
-	bytes := float64(n) * 4
-	if wg.Dev.ID() == dstPE {
-		wg.Write(bytes)
-		dst.On(dstPE).CopyWithin(dstOff, src, srcOff, n)
-		return
-	}
-	dbuf := dst.On(dstPE)
-	w.remoteStore(wg, dstPE, bytes, func() {
-		dbuf.CopyWithin(dstOff, src, srcOff, n)
-	})
-}
-
-// StoreRemoteRows is StoreRemote for a strided block (see PutNbiRows).
-func (w *World) StoreRemoteRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, src *gpu.Buffer, srcOff, srcStride, rows, rowLen int) {
+// storeValuesRows stores register-resident values as rows of rowLen
+// elements landing dstStride apart in dstPE's instance: the zero-copy
+// scale-up path (§III-B) for results that never touch local memory.
+// Same-PE stores are charged to local memory bandwidth; peer stores are
+// issued fire-and-forget (see remoteStore). Cross-node stores are
+// impossible on real hardware and panic here.
+func (w *World) storeValuesRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
 	if rows <= 0 || rowLen <= 0 {
 		return
 	}
 	bytes := float64(rows*rowLen) * 4
-	dbuf := dst.On(dstPE)
-	apply := func() {
-		for r := 0; r < rows; r++ {
-			dbuf.CopyWithin(dstOff+r*dstStride, src, srcOff+r*srcStride, rowLen)
-		}
-	}
+	apply := rowCopy(dst.On(dstPE), dstOff, dstStride, nil, 0, 0, vals, rows, rowLen)
 	if wg.Dev.ID() == dstPE {
 		wg.Write(bytes)
 		apply()
@@ -420,110 +386,46 @@ func (w *World) StoreRemoteRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStr
 	w.remoteStore(wg, dstPE, bytes, apply)
 }
 
-// StoreValues writes caller-provided values (register-resident results)
-// directly to dstPE's instance of the symmetric allocation: the
-// zero-copy store path for results that never touch local memory.
-// vals may be nil in timing mode; n elements are charged either way.
-func (w *World) StoreValues(wg *gpu.WG, dstPE int, dst *Symm, dstOff int, vals []float32, n int) {
-	w.StoreValuesRows(wg, dstPE, dst, dstOff, 0, vals, 1, n)
-}
-
-// StoreValuesRows stores register-resident values as rows of rowLen
-// elements landing dstStride apart in dstPE's instance. vals holds
-// rows*rowLen elements row-major (nil in timing mode); they are
-// snapshotted at issue, so the caller may reuse the scratch space.
-func (w *World) StoreValuesRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
-	if rows <= 0 || rowLen <= 0 {
-		return
-	}
-	bytes := float64(rows*rowLen) * 4
-	dbuf := dst.On(dstPE)
-	var snap []float32
-	if vals != nil && dbuf.Functional() {
-		snap = append([]float32(nil), vals[:rows*rowLen]...)
-	}
-	apply := func() {
-		if snap == nil {
-			return
-		}
-		for r := 0; r < rows; r++ {
-			copy(dbuf.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], snap[r*rowLen:(r+1)*rowLen])
-		}
-	}
-	if wg.Dev.ID() == dstPE {
-		wg.Write(bytes)
-		apply()
-		return
-	}
-	w.remoteStore(wg, dstPE, bytes, apply)
-}
-
-// StoreRemoteFlag sets a flag on a same-node peer with a native store,
+// storeRemoteFlag sets a flag on a same-node peer with a native store,
 // after fencing the pair's outstanding stores so the flag never becomes
 // visible before the data it guards.
-func (w *World) StoreRemoteFlag(wg *gpu.WG, dstPE int, f *Flags, idx int, delta int64) {
+func (w *World) storeRemoteFlag(wg *gpu.WG, dstPE int, f *Flags, idx int, delta int64) {
 	wg.Busy(w.cfg.FlagAPIOverhead)
 	srcPE := wg.Dev.ID()
 	if srcPE != dstPE && !w.pl.SameNode(srcPE, dstPE) {
-		panic(fmt.Sprintf("shmem: StoreRemoteFlag across nodes (%d->%d)", srcPE, dstPE))
+		panic(fmt.Sprintf("shmem: native flag store across nodes (%d->%d)", srcPE, dstPE))
 	}
-	w.StoreFence(wg, dstPE)
+	w.storeFence(wg, dstPE)
 	f.flags[dstPE][idx].Add(delta)
 }
 
-// PutValuesRowsNbi posts register-resident values toward dstPE on the
-// pair's ordered channel: rows of rowLen elements landing dstStride
-// apart in dst's instance. The values are staged through a send buffer
-// (charged as a workgroup write) and travel as one message — the
-// scale-out counterpart of StoreValuesRows for results that exist only
-// in registers. vals may be nil in timing mode; it is snapshotted at
-// issue.
-func (w *World) PutValuesRowsNbi(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
+// putValuesRowsNbi posts register-resident values toward a cross-node
+// dstPE on the pair's ordered channel as one message — the scale-out
+// counterpart of storeValuesRows. The values are staged through a send buffer (charged
+// as a workgroup write) before the transfer engine reads them back out.
+func (w *World) putValuesRowsNbi(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
 	if rows <= 0 || rowLen <= 0 {
 		return
 	}
 	wg.Busy(w.cfg.PutAPIOverhead)
 	bytes := float64(rows*rowLen) * 4
-	dbuf := dst.On(dstPE)
-	var snap []float32
-	if vals != nil && dbuf.Functional() {
-		snap = append([]float32(nil), vals[:rows*rowLen]...)
-	}
-	apply := func() {
-		if snap == nil {
-			return
-		}
-		for r := 0; r < rows; r++ {
-			copy(dbuf.Data()[dstOff+r*dstStride:dstOff+r*dstStride+rowLen], snap[r*rowLen:(r+1)*rowLen])
-		}
-	}
-	srcPE := wg.Dev.ID()
-	if srcPE == dstPE {
-		wg.Write(bytes)
-		apply()
-		return
-	}
-	// Stage the registers into the send buffer, then let the transfer
-	// engine read it back out.
+	apply := rowCopy(dst.On(dstPE), dstOff, dstStride, nil, 0, 0, vals, rows, rowLen)
 	wg.Write(bytes)
-	w.pl.Device(srcPE).HBM().TransferAsync(bytes, 0, nil)
-	w.channel(srcPE, dstPE).Post(bytes, func() {
-		w.pl.Device(dstPE).HBM().TransferAsync(bytes, 0, nil)
-		apply()
-	})
+	w.post(wg.Dev.ID(), dstPE, bytes, apply)
 }
 
 // SendValuesRows delivers register-resident values to any PE over the
 // best path the topology allows — zero-copy native stores within a
 // node, ordered channel puts across nodes — and reports which route was
-// taken. This is what lets one fused kernel run unchanged on scale-up,
-// scale-out, and hybrid clusters.
+// taken. vals holds rows*rowLen elements row-major (nil in timing mode);
+// they are snapshotted at issue. This is what lets one fused kernel run
+// unchanged on scale-up, scale-out, and hybrid clusters.
 func (w *World) SendValuesRows(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) Route {
 	route := w.Route(wg.Dev.ID(), dstPE)
 	if route == RouteNIC {
-		w.PutValuesRowsNbi(wg, dstPE, dst, dstOff, dstStride, vals, rows, rowLen)
+		w.putValuesRowsNbi(wg, dstPE, dst, dstOff, dstStride, vals, rows, rowLen)
 	} else {
-		w.StoreValuesRows(wg, dstPE, dst, dstOff, dstStride, vals, rows, rowLen)
+		w.storeValuesRows(wg, dstPE, dst, dstOff, dstStride, vals, rows, rowLen)
 	}
 	return route
 }
@@ -542,5 +444,5 @@ func (w *World) SendFlag(wg *gpu.WG, dstPE int, f *Flags, idx int, delta int64) 
 		w.PutFlagNbi(wg, dstPE, f, idx, delta)
 		return
 	}
-	w.StoreRemoteFlag(wg, dstPE, f, idx, delta)
+	w.storeRemoteFlag(wg, dstPE, f, idx, delta)
 }

@@ -70,10 +70,9 @@ func TestPutNbiDeliversDataCrossNode(t *testing.T) {
 		src.Data()[i] = float32(i + 1)
 	}
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.PutNbi(wg, 1, dst, 0, src, 0, 8)
-		w.Quiet(wg)
-		// After quiet the data is visible remotely.
+		w.PutNbiRows(wg, 1, dst, 0, 0, src, 0, 0, 1, 8)
 	})
+	// The run ends only after the put is delivered.
 	e.Run()
 	got := dst.On(1).Data()
 	for i := range got {
@@ -97,7 +96,7 @@ func TestPutFlagOrderedAfterData(t *testing.T) {
 	src.Fill(7)
 	var seen float32
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.PutNbi(wg, 1, dst, 0, src, 0, 1024)
+		w.PutNbiRows(wg, 1, dst, 0, 0, src, 0, 0, 1, 1024)
 		w.Fence(wg)
 		w.PutFlagNbi(wg, 1, fl, 0, 1)
 	})
@@ -119,7 +118,7 @@ func TestPutNbiSamePEIsImmediate(t *testing.T) {
 	src := pl.Device(0).Alloc(4)
 	src.Fill(3)
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.PutNbi(wg, 0, dst, 0, src, 0, 4)
+		w.PutNbiRows(wg, 0, dst, 0, 0, src, 0, 0, 1, 4)
 		if dst.On(0).Data()[3] != 3 {
 			t.Error("same-PE put must apply immediately")
 		}
@@ -132,16 +131,20 @@ func TestStoreRemoteZeroCopySameNode(t *testing.T) {
 	pl := testPlatform(e, 1, 2)
 	w := NewWorld(pl, DefaultConfig())
 	dst := w.Malloc(256)
-	src := pl.Device(0).Alloc(256)
-	src.Fill(5)
+	vals := make([]float32, 256)
+	for i := range vals {
+		vals[i] = 5
+	}
 	var issueDur, fenceAt sim.Duration
 	launch1WG(pl, 0, func(wg *gpu.WG) {
 		start := wg.P.Now()
-		w.StoreRemote(wg, 1, dst, 0, src, 0, 256)
+		if r := w.SendValues(wg, 1, dst, 0, vals, 256); r != RouteFabric {
+			t.Errorf("same-node send took %v, want fabric", r)
+		}
 		issueDur = wg.P.Now().Sub(start)
 		// Fire-and-forget: the WG resumes immediately; visibility
 		// requires a fence.
-		w.StoreFence(wg, 1)
+		w.storeFence(wg, 1)
 		fenceAt = wg.P.Now().Sub(start)
 		if dst.On(1).Data()[255] != 5 {
 			t.Error("store not visible after fence")
@@ -163,33 +166,14 @@ func TestStoreRemoteCrossNodePanics(t *testing.T) {
 	pl := testPlatform(e, 2, 1)
 	w := NewWorld(pl, DefaultConfig())
 	dst := w.Malloc(4)
-	src := pl.Device(0).Alloc(4)
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.StoreRemote(wg, 1, dst, 0, src, 0, 4)
+		w.storeValuesRows(wg, 1, dst, 0, 0, []float32{1, 2, 3, 4}, 1, 4)
 	})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("want panic for cross-node StoreRemote")
+			t.Fatal("want panic for a cross-node native store")
 		}
 	}()
-	e.Run()
-}
-
-func TestQuietWaitsAllChannels(t *testing.T) {
-	e := sim.NewEngine()
-	pl := testPlatform(e, 3, 1)
-	w := NewWorld(pl, DefaultConfig())
-	dst := w.Malloc(1 << 16)
-	src := pl.Device(0).Alloc(1 << 16)
-	src.Fill(1)
-	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.PutNbi(wg, 1, dst, 0, src, 0, 1<<16)
-		w.PutNbi(wg, 2, dst, 0, src, 0, 1<<16)
-		w.Quiet(wg)
-		if dst.On(1).Data()[0] != 1 || dst.On(2).Data()[0] != 1 {
-			t.Error("quiet returned before all deliveries")
-		}
-	})
 	e.Run()
 }
 
@@ -203,7 +187,7 @@ func TestIntraNodePutUsesFabricChannel(t *testing.T) {
 	src.Fill(9)
 	var seen float32
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.PutNbi(wg, 1, dst, 0, src, 0, 1024)
+		w.PutNbiRows(wg, 1, dst, 0, 0, src, 0, 0, 1, 1024)
 		w.PutFlagNbi(wg, 1, fl, 0, 1)
 	})
 	launch1WG(pl, 1, func(wg *gpu.WG) {
@@ -222,7 +206,7 @@ func TestStoreRemoteFlagSameNode(t *testing.T) {
 	w := NewWorld(pl, DefaultConfig())
 	fl := w.MallocFlags(2)
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.StoreRemoteFlag(wg, 1, fl, 1, 3)
+		w.storeRemoteFlag(wg, 1, fl, 1, 3)
 	})
 	e.Run()
 	if got := fl.On(1, 1).Value(); got != 3 {
@@ -303,11 +287,11 @@ func TestStoreRemoteFlagAcrossNodesPanics(t *testing.T) {
 	w := NewWorld(pl, DefaultConfig())
 	fl := w.MallocFlags(1)
 	launch1WG(pl, 0, func(wg *gpu.WG) {
-		w.StoreRemoteFlag(wg, 2, fl, 0, 1)
+		w.storeRemoteFlag(wg, 2, fl, 0, 1)
 	})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("want panic for cross-node StoreRemoteFlag")
+			t.Fatal("want panic for cross-node storeRemoteFlag")
 		}
 	}()
 	e.Run()
