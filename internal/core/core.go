@@ -182,13 +182,6 @@ func (r Report) Skew() float64 {
 	return float64(hi-lo) / float64(r.End.Sub(r.Start))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // chunkRange returns the balanced split [lo,hi) of units work items
 // into n chunks at index c (empty when n exceeds units) — the shared
 // chunk arithmetic of every pair operator's phase entry points.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fusedcc/internal/collectives"
 	"fusedcc/internal/gpu"
 	"fusedcc/internal/shmem"
 	"fusedcc/internal/sim"
@@ -30,59 +29,58 @@ import (
 // they ignore contention transients and scheduling jitter, and the auto
 // experiment reports the resulting mispredict rate against simulation.
 
-// kernelCost describes one grid launch for estimation: grid logical
-// items, each charging the given memory traffic, flops, and fixed busy
-// time.
-type kernelCost struct {
-	grid     int
-	wgsPerCU int // 0 = device max
-	lanes    int // lane coarsening (0 or 1 = none)
-	// Per-item costs. Gather bytes are the payload; the model divides
-	// by GatherEfficiency like the device does.
-	itemRead, itemGather, itemWrite float64
-	itemFlops                       float64
-	itemFixed                       sim.Duration
+// KernelEstimate prices one conventional grid launch on a device
+// configuration — the roofline model the operator estimators use,
+// exported so stack builders can attach analytic cost estimates to
+// custom rowwise per-rank nodes (the select pass needs them to price
+// wavefront schedules through those nodes). Launch overhead is not
+// included; add cfg.KernelLaunchOverhead per launch.
+type KernelEstimate struct {
+	// Grid is the logical work-item count.
+	Grid int
+	// WGsPerCU is the launch's occupancy; 0 selects the device maximum.
+	WGsPerCU int
+	// Lanes is the lane coarsening: items a workgroup processes side by
+	// side (0 or 1 = none).
+	Lanes int
+	// Read, Gather, Write, and Flops are per-item costs (bytes and
+	// multiply-adds); Fixed is a per-item fixed busy time. Gather bytes
+	// are the payload; the model divides them by GatherEfficiency like
+	// the device does.
+	Read, Gather, Write, Flops float64
+	Fixed                      sim.Duration
 }
 
-// time returns the estimated kernel body duration (launch overhead not
-// included): the larger of the per-WG-limited pipeline time and the
-// device-level HBM/ALU roofline.
-func (kc kernelCost) time(cfg gpu.Config) sim.Duration {
-	if kc.grid <= 0 {
+// Time returns the estimated kernel body duration on cfg: the larger
+// of the per-WG-limited pipeline time and the device-level HBM/ALU
+// roofline.
+func (ke KernelEstimate) Time(cfg gpu.Config) sim.Duration {
+	if ke.Grid <= 0 {
 		return 0
 	}
-	lanes := kc.lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	perCU := kc.wgsPerCU
+	lanes := max(ke.Lanes, 1)
+	perCU := ke.WGsPerCU
 	if perCU <= 0 || perCU > cfg.MaxWGSlotsPerCU {
 		perCU = cfg.MaxWGSlotsPerCU
 	}
-	phys := cfg.CUs * perCU / lanes
-	if phys < 1 {
-		phys = 1
-	}
-	if phys > kc.grid {
-		phys = kc.grid
-	}
-	rounds := (kc.grid + phys - 1) / phys
+	phys := min(max(cfg.CUs*perCU/lanes, 1), ke.Grid)
+	rounds := (ke.Grid + phys - 1) / phys
 
-	gather := kc.itemGather
+	gather := ke.Gather
 	if cfg.GatherEfficiency > 0 {
 		gather /= cfg.GatherEfficiency
 	}
-	streamBytes := kc.itemRead + kc.itemWrite + gather
+	streamBytes := ke.Read + ke.Write + gather
 	cap := cfg.PerWGStreamBandwidth * float64(lanes)
 	perItem := sim.TransferTime(streamBytes, cap) +
-		sim.TransferTime(kc.itemFlops, cfg.FlopsPerCU*float64(lanes)) +
-		kc.itemFixed
+		sim.TransferTime(ke.Flops, cfg.FlopsPerCU*float64(lanes)) +
+		ke.Fixed
 	tWG := sim.Duration(rounds) * perItem
 
-	total := float64(kc.grid)
+	total := float64(ke.Grid)
 	tHBM := sim.TransferTime(total*streamBytes, cfg.HBMBandwidth)
-	tALU := sim.TransferTime(total*kc.itemFlops, float64(cfg.CUs)*cfg.FlopsPerCU)
-	tFix := sim.Duration(rounds) * kc.itemFixed
+	tALU := sim.TransferTime(total*ke.Flops, float64(cfg.CUs)*cfg.FlopsPerCU)
+	tFix := sim.Duration(rounds) * ke.Fixed
 	if t := tHBM + tFix; t > tWG {
 		tWG = t
 	}
@@ -90,18 +88,6 @@ func (kc kernelCost) time(cfg gpu.Config) sim.Duration {
 		tWG = t
 	}
 	return tWG
-}
-
-// chunkEstComm builds the communicator an estimate prices chunk c of a
-// chain with: head chunks pay the full library call, later chunks the
-// chunk-chain dispatch (mirroring chunkComm).
-func chunkEstComm(w *shmem.World, pes []int, c int) *collectives.Comm {
-	comm := collectives.New(w.Platform(), pes)
-	if c > 0 {
-		comm.SetProtocolOverhead(0)
-		comm.SetLaunchOverhead(ChunkDispatchOverhead)
-	}
-	return comm
 }
 
 // fusedDest is one peer's communication demand from one rank of a fused
@@ -177,13 +163,13 @@ func (op *GEMVAllReduce) EstimateComputeChunk(c, n int) sim.Duration {
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
 	rows := float64(hi-lo) / float64(thi-tlo)
 	kd := float64(op.maxK())
-	kc := kernelCost{
-		grid:      thi - tlo,
-		itemRead:  rows*kd*4 + kd*4/float64(op.tiles),
-		itemWrite: rows * 4,
-		itemFlops: 2 * rows * kd,
+	kc := KernelEstimate{
+		Grid:  thi - tlo,
+		Read:  rows*kd*4 + kd*4/float64(op.tiles),
+		Write: rows * 4,
+		Flops: 2 * rows * kd,
 	}
-	return cfg.KernelLaunchOverhead + kc.time(cfg)
+	return cfg.KernelLaunchOverhead + kc.Time(cfg)
 }
 
 // EstimateCollective predicts the full collective phase (RunAllReduce).
@@ -197,7 +183,7 @@ func (op *GEMVAllReduce) EstimateCollectiveChunk(c, n int) sim.Duration {
 	if hi <= lo {
 		return 0
 	}
-	return chunkEstComm(op.World, op.PEs, c).EstimateAllReduce(hi-lo, op.Config.Collective)
+	return chunkComm(op.World.Platform(), op.PEs, c).EstimateAllReduce(hi-lo, op.Config.Collective)
 }
 
 // EstimateFused predicts RunFused: the persistent kernel's compute
@@ -211,14 +197,14 @@ func (op *GEMVAllReduce) EstimateFused() sim.Duration {
 	kd := float64(op.maxK())
 	rows := float64(op.m) / float64(op.tiles)
 
-	comp := kernelCost{
-		grid:      op.tiles,
-		wgsPerCU:  occ,
-		itemRead:  rows * kd * 4,
-		itemFlops: 2 * rows * kd,
-		itemFixed: op.Config.Bookkeeping + sc.PutAPIOverhead,
+	comp := KernelEstimate{
+		Grid:     op.tiles,
+		WGsPerCU: occ,
+		Read:     rows * kd * 4,
+		Flops:    2 * rows * kd,
+		Fixed:    op.Config.Bookkeeping + sc.PutAPIOverhead,
 	}
-	tComp := comp.time(cfg)
+	tComp := comp.Time(cfg)
 
 	// Phase-1 drain: every rank streams each peer-owned tile straight to
 	// its owner (tiles/k tiles per destination).
@@ -231,13 +217,13 @@ func (op *GEMVAllReduce) EstimateFused() sim.Duration {
 
 	// Owner reduction: read the k staged copies of each owned tile.
 	owned := float64(op.m) / float64(op.k)
-	red := kernelCost{
-		grid:      per,
-		wgsPerCU:  occ,
-		itemRead:  float64(op.k) * rows * 4,
-		itemFlops: float64(op.k-1) * rows,
+	red := KernelEstimate{
+		Grid:     per,
+		WGsPerCU: occ,
+		Read:     float64(op.k) * rows * 4,
+		Flops:    float64(op.k-1) * rows,
 	}
-	tRed := red.time(cfg)
+	tRed := red.Time(cfg)
 
 	// Broadcast: each rank pushes its reduced shard to every peer.
 	for d := range dests {
@@ -300,13 +286,13 @@ func (op *EmbeddingAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
 	rpw := op.rowsPerWGEst()
 	pool := op.avgPooling()
-	kc := kernelCost{
-		grid:       (op.GlobalBatch + rpw - 1) / rpw,
-		lanes:      rpw,
-		itemGather: pool * float64(rpw*op.D) * 4,
-		itemWrite:  float64(rpw*op.D) * 4,
+	kc := KernelEstimate{
+		Grid:   (op.GlobalBatch + rpw - 1) / rpw,
+		Lanes:  rpw,
+		Gather: pool * float64(rpw*op.D) * 4,
+		Write:  float64(rpw*op.D) * 4,
 	}
-	perTable := cfg.KernelLaunchOverhead + kc.time(cfg)
+	perTable := cfg.KernelLaunchOverhead + kc.Time(cfg)
 	return sim.Duration(t1-t0) * perTable
 }
 
@@ -324,15 +310,15 @@ func (op *EmbeddingAllToAll) EstimateCollectiveChunk(c, n int) sim.Duration {
 		return 0
 	}
 	cnt := (t1 - t0) * op.L * op.D
-	t := chunkEstComm(op.World, op.PEs, c).EstimateAllToAll(cnt, op.Config.Collective)
+	t := chunkComm(op.World.Platform(), op.PEs, c).EstimateAllToAll(cnt, op.Config.Collective)
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
 	blockBytes := float64(op.L*op.D) * 4
-	shuffle := kernelCost{
-		grid:      op.k * (t1 - t0),
-		itemRead:  blockBytes,
-		itemWrite: blockBytes,
+	shuffle := KernelEstimate{
+		Grid:  op.k * (t1 - t0),
+		Read:  blockBytes,
+		Write: blockBytes,
 	}
-	return t + cfg.KernelLaunchOverhead + shuffle.time(cfg)
+	return t + cfg.KernelLaunchOverhead + shuffle.Time(cfg)
 }
 
 // EstimateFused predicts RunFused: the persistent pooling kernel
@@ -346,14 +332,14 @@ func (op *EmbeddingAllToAll) EstimateFused() sim.Duration {
 	occ := op.Config.fusedWGsPerCU(pl.Device(op.PEs[0]))
 
 	items := op.numSlices() * (op.SliceRows / rpw)
-	comp := kernelCost{
-		grid:       items,
-		wgsPerCU:   occ,
-		lanes:      rpw,
-		itemGather: pool * float64(rpw*op.D) * 4,
-		itemFixed:  op.Config.Bookkeeping + sc.FlagAPIOverhead,
+	comp := KernelEstimate{
+		Grid:     items,
+		WGsPerCU: occ,
+		Lanes:    rpw,
+		Gather:   pool * float64(rpw*op.D) * 4,
+		Fixed:    op.Config.Bookkeeping + sc.FlagAPIOverhead,
 	}
-	tComp := comp.time(cfg)
+	tComp := comp.Time(cfg)
 
 	// Per destination: L/SliceRows slices per table, zero-copy within
 	// the node, one put per slice across nodes.
@@ -416,13 +402,13 @@ func (op *GEMMAllToAll) EstimateComputeChunk(c, n int) sim.Duration {
 		return 0
 	}
 	cfg := op.World.Platform().Device(op.PEs[0]).Config()
-	kc := kernelCost{
-		grid:      tiles,
-		itemRead:  read / float64(tiles),
-		itemWrite: write / float64(tiles),
-		itemFlops: flops / float64(tiles),
+	kc := KernelEstimate{
+		Grid:  tiles,
+		Read:  read / float64(tiles),
+		Write: write / float64(tiles),
+		Flops: flops / float64(tiles),
 	}
-	return cfg.KernelLaunchOverhead + kc.time(cfg)
+	return cfg.KernelLaunchOverhead + kc.Time(cfg)
 }
 
 // EstimateCollective predicts the full combine phase (RunExchange).
@@ -435,7 +421,7 @@ func (op *GEMMAllToAll) EstimateCollectiveChunk(c, n int) sim.Duration {
 	if r1 <= r0 {
 		return 0
 	}
-	return chunkEstComm(op.World, op.PEs, c).EstimateAllToAll((r1-r0)*op.Gemms[0].N, op.Config.Collective)
+	return chunkComm(op.World.Platform(), op.PEs, c).EstimateAllToAll((r1-r0)*op.Gemms[0].N, op.Config.Collective)
 }
 
 // EstimateFused predicts RunFused: the Triton persistent kernel's tile
@@ -454,15 +440,15 @@ func (op *GEMMAllToAll) EstimateFused() sim.Duration {
 	occ := op.Config.fusedWGsPerCU(pl.Device(op.PEs[0]))
 	tiles, read, flops, write := op.chunkTileStats(0, 1)
 
-	comp := kernelCost{
-		grid:      tiles,
-		wgsPerCU:  occ,
-		itemRead:  read / float64(tiles),
-		itemWrite: write / float64(tiles), // register staging for the puts
-		itemFlops: flops / float64(tiles),
-		itemFixed: op.Config.Bookkeeping + sc.PutAPIOverhead,
+	comp := KernelEstimate{
+		Grid:     tiles,
+		WGsPerCU: occ,
+		Read:     read / float64(tiles),
+		Write:    write / float64(tiles), // register staging for the puts
+		Flops:    flops / float64(tiles),
+		Fixed:    op.Config.Bookkeeping + sc.PutAPIOverhead,
 	}
-	tComp := comp.time(cfg)
+	tComp := comp.Time(cfg)
 
 	g := op.Gemms[0]
 	perDestTiles := op.rowBands() * g.TilesN()

@@ -339,10 +339,3 @@ func (l *Layer) Step(p *sim.Proc, mode graph.Mode) core.Report {
 
 // Executor returns the layer's executor, for tuning pipeline depth.
 func (l *Layer) Executor() *graph.Executor { return &l.exec }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

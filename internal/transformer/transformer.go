@@ -269,10 +269,3 @@ func (f *ParallelFFN) Step(p *sim.Proc, mode graph.Mode) core.Report {
 
 // Executor returns the block's executor, for tuning pipeline depth.
 func (f *ParallelFFN) Executor() *graph.Executor { return &f.exec }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
