@@ -17,7 +17,6 @@ type Device struct {
 	slots *sim.Semaphore // resident-WG slots (CUs x MaxWGSlotsPerCU)
 
 	kernelsLaunched int
-	activeWGs       int
 	activeGathers   int // in-flight random-gather transfers
 
 	// Standing per-kind command queues (see Stream) and the compute/comm
@@ -74,15 +73,8 @@ func (d *Device) SetServiceScale(f float64) {
 	d.hbm.SetRateScale(1 / f)
 }
 
-// ServiceScale reports the device's current straggler factor (1 when
-// nominal).
-func (d *Device) ServiceScale() float64 { return 1 / d.alu.RateScale() }
-
 // KernelsLaunched reports how many kernels were dispatched on the device.
 func (d *Device) KernelsLaunched() int { return d.kernelsLaunched }
-
-// ActiveWGs reports the number of workgroups currently resident.
-func (d *Device) ActiveWGs() int { return d.activeWGs }
 
 // WG is the execution context handed to kernel bodies — the simulation
 // analogue of a workgroup. Its methods advance simulated time according
@@ -191,10 +183,8 @@ func (d *Device) Launch(p *sim.Proc, k Kernel) {
 		i := i
 		d.e.Go(fmt.Sprintf("%s/wg%d", k.Name, i), func(proc *sim.Proc) {
 			d.slots.Acquire(proc, lanes)
-			d.activeWGs += lanes
 			w := &WG{P: proc, Dev: d, PhysID: i, Lanes: lanes}
 			k.Body(w)
-			d.activeWGs -= lanes
 			d.slots.Release(lanes)
 			wg.Done()
 		})

@@ -62,9 +62,6 @@ func (r *Resource) Name() string { return r.name }
 // Capacity returns the configured peak bandwidth in bytes/sec.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
-// ActiveFlows reports the number of in-flight transfers.
-func (r *Resource) ActiveFlows() int { return len(r.flows) }
-
 // RateScale reports the current capacity multiplier (1 when nominal).
 func (r *Resource) RateScale() float64 {
 	if r.rateScale == 0 {
@@ -136,17 +133,6 @@ func (r *Resource) TransferAsync(bytes, perFlowCap float64, onDone func()) {
 		return
 	}
 	r.admit(&flow{remaining: bytes, cap: perFlowCap, onDone: onDone})
-}
-
-// EstimateRate returns the rate a new flow with the given cap would
-// receive right now. Useful for quasi-static cost estimates.
-func (r *Resource) EstimateRate(perFlowCap float64) float64 {
-	n := len(r.flows) + 1
-	share := r.usable(n) / float64(n)
-	if perFlowCap > 0 && perFlowCap < share {
-		return perFlowCap
-	}
-	return share
 }
 
 func (r *Resource) usable(n int) float64 {
@@ -271,8 +257,10 @@ type Server struct {
 	onBusy func(busy bool)
 
 	// Queue accounting: how long admitted holders sat waiting behind
-	// earlier acquirers. The serving layer and the contention-aware cost
-	// estimator read these to see where queueing builds under load.
+	// earlier acquirers (gpu.Stream's MeanWait and QueueWait). No
+	// simulation path reads it yet; it is kept as the queueing input of
+	// a critical-path attribution that splits makespan into compute,
+	// communication and queueing.
 	admissions int64
 	totalWait  Duration
 }

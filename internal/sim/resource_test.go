@@ -202,17 +202,6 @@ func TestResourceNeverFasterThanCapacity(t *testing.T) {
 	}
 }
 
-func TestEstimateRate(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link", 1*gb, nil)
-	if got := r.EstimateRate(0); got != 1*gb {
-		t.Errorf("idle estimate = %g, want capacity", got)
-	}
-	if got := r.EstimateRate(0.25 * gb); got != 0.25*gb {
-		t.Errorf("capped estimate = %g, want cap", got)
-	}
-}
-
 func absT(d Time) Time {
 	if d < 0 {
 		return -d
