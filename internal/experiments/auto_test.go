@@ -107,7 +107,7 @@ func TestAutoExperimentShape(t *testing.T) {
 // TestPipelinePointAutoMode verifies the single-configuration runner
 // accepts Auto and annotates the result with the decision line.
 func TestPipelinePointAutoMode(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	res, err := PipelinePoint(1, 4, 2, 2, graph.Auto, quick)
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func TestWavefrontExperimentShape(t *testing.T) {
 // runner accepts Wavefront and annotates the result with the
 // join/overlap line.
 func TestPipelinePointWavefrontMode(t *testing.T) {
-	t.Parallel()
+	parallelUnlessRace(t)
 	res, err := PipelinePoint(1, 4, 2, 2, graph.Wavefront, quick)
 	if err != nil {
 		t.Fatal(err)
