@@ -401,8 +401,9 @@ func (w *World) storeRemoteFlag(wg *gpu.WG, dstPE int, f *Flags, idx int, delta 
 
 // putValuesRowsNbi posts register-resident values toward a cross-node
 // dstPE on the pair's ordered channel as one message — the scale-out
-// counterpart of storeValuesRows. The values are staged through a send buffer (charged
-// as a workgroup write) before the transfer engine reads them back out.
+// counterpart of storeValuesRows. The values are staged through a send
+// buffer (charged as a workgroup write) before the transfer engine
+// reads them back out.
 func (w *World) putValuesRowsNbi(wg *gpu.WG, dstPE int, dst *Symm, dstOff, dstStride int, vals []float32, rows, rowLen int) {
 	if rows <= 0 || rowLen <= 0 {
 		return
