@@ -95,9 +95,9 @@ func (f *Fabric) Link(src, dst int) *sim.Resource {
 	return l
 }
 
-// StoreAsync streams bytes from src to dst as native stores issued by
-// one workgroup of lanes parallel lanes and calls onDone (optional)
-// when the last byte lands. The stream opens after the store latency,
+// StoreAsync streams bytes from src to dst as native stores issued by a
+// workgroup standing for lanes real workgroups, and calls onDone
+// (optional) when the last byte lands. The stream opens after the store latency,
 // then moves at the lane-scaled per-WG store rate under the link's
 // fair sharing. Stores to self are accounted by the GPU memory model,
 // so they complete at once.
