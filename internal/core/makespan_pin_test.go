@@ -29,14 +29,11 @@ func timingWorld(e *sim.Engine, nodes, gpn int) (*platform.Platform, *shmem.Worl
 	return pl, shmem.NewWorld(pl, shmem.DefaultConfig())
 }
 
-// pinOp is one operator under pin: run builds it on a fresh timing-mode
-// world and returns its fused and baseline entry points.
-type pinOp struct {
-	name string
-	run  func(t *testing.T, pl *platform.Platform, w *shmem.World) (fused, base func(*sim.Proc) Report)
-}
+// pinBuild builds one operator on a fresh timing-mode world and returns
+// its fused and baseline entry points.
+type pinBuild func(t *testing.T, pl *platform.Platform, w *shmem.World) (fused, base func(*sim.Proc) Report)
 
-func pinEmbedding(disableZeroCopy bool) func(*testing.T, *platform.Platform, *shmem.World) (func(*sim.Proc) Report, func(*sim.Proc) Report) {
+func pinEmbedding(disableZeroCopy bool) pinBuild {
 	return func(t *testing.T, pl *platform.Platform, w *shmem.World) (func(*sim.Proc) Report, func(*sim.Proc) Report) {
 		pes := pesOf(pl)
 		cfg := DefaultConfig()
@@ -49,7 +46,10 @@ func pinEmbedding(disableZeroCopy bool) func(*testing.T, *platform.Platform, *sh
 	}
 }
 
-var pinOps = []pinOp{
+var pinOps = []struct {
+	name  string
+	build pinBuild
+}{
 	{"emb", pinEmbedding(false)},
 	{"emb-nozc", pinEmbedding(true)},
 	{"gemv", func(t *testing.T, pl *platform.Platform, w *shmem.World) (func(*sim.Proc) Report, func(*sim.Proc) Report) {
@@ -128,7 +128,7 @@ func TestOperatorMakespansPinned(t *testing.T) {
 			for v := 0; v < 2; v++ {
 				e := sim.NewEngine()
 				pl, w := timingWorld(e, sh[0], sh[1])
-				fused, base := op.run(t, pl, w)
+				fused, base := op.build(t, pl, w)
 				if v == 0 {
 					rep := runOp(e, fused)
 					got.fused, got.puts, got.bytes = rep.Duration(), rep.RemotePuts, rep.RemoteBytes
